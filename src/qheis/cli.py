@@ -4,12 +4,14 @@
     qheis eval --q symbolic "A*B - q*B*A - I"
 
 Exit status: 0 when nothing failed, 1 when any entry failed, 2 on usage
-errors (unknown suite, malformed q or bounds, expression syntax errors).
+errors (unknown suite, malformed q or bounds, an unwritable --json path,
+expression syntax errors, division by zero).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -29,6 +31,31 @@ def _parse_bounds(pairs: Optional[List[str]]) -> Dict[str, int]:
         except ValueError as exc:
             raise ValueError("--bound %s needs an integer, got %r" % (name, value)) from exc
     return out
+
+
+def _join_negative_q(argv: List[str]) -> List[str]:
+    """Rewrite ``--q -1/3`` as ``--q=-1/3``: argparse reads a separate
+    token that starts with '-' and is not a plain number as an option."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] == "--q" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = "--q=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _check_writable(path: str) -> None:
+    """Raise ValueError unless a file can be written at ``path``; leaves no
+    file behind that was not there before."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ValueError("cannot write the JSON report to %s: %s" % (path, exc.strerror)) from exc
+    if not existed:
+        os.remove(path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,6 +94,8 @@ def _cmd_verify(args) -> int:
             output="json" if args.json else "text",
             parallelism=max(1, args.jobs),
         )
+        if args.json:
+            _check_writable(args.json)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -118,7 +147,7 @@ def _cmd_eval(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_q(sys.argv[1:] if argv is None else argv))
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "eval":

@@ -5,6 +5,14 @@ Everything here is immutable and exact.  A coefficient is always a
 ``RationalFunction``; a concrete rational value of q is handled by storing
 constant polynomials, so one scalar type serves the symbolic and the
 specialized modes alike.
+
+Nearly every denominator met in H(q) is c*q^a*(q-1)^b: the q-integers
+{n}_q = (q^n - 1)/(q - 1) and the q^k prefactors of the commutation
+relations produce nothing else, and a constant is the case a = b = 0.
+``_normalize`` recognizes such a denominator by stripping its q-adic
+valuation and dividing out (q - 1) while the coefficient sum vanishes,
+then cancels those two irreducible factors directly.  Any other
+denominator goes through the primitive PRS gcd of ``IntPoly.gcd``.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional, Union
 
 
@@ -261,12 +270,42 @@ _P_ONE = IntPoly((1,))
 _P_Q = IntPoly((0, 1))
 
 
+def _split_q_q1(cs, a_max: int, b_max: int):
+    """(rest, a, b) with p = q^a * (q - 1)^b * rest for the nonzero
+    polynomial p with coefficients cs (lowest first), where a <= a_max and
+    b <= b_max are as large as p allows.  (q - 1) divides a polynomial when
+    its coefficient sum vanishes; the quotient comes by synthetic division,
+    its i-th coefficient being -(cs[0] + ... + cs[i])."""
+    a = 0
+    while a < a_max and not cs[a]:
+        a += 1
+    cs = cs[a:]
+    b = 0
+    while b < b_max and not sum(cs):
+        cs = [-s for s in accumulate(cs[:-1])]
+        b += 1
+    return cs, a, b
+
+
+def _q_q1_poly(c: int, a: int, b: int) -> IntPoly:
+    """c*q^a*(q - 1)^b."""
+    return IntPoly((0,) * a + tuple(c * (-1) ** (b - i) * math.comb(b, i) for i in range(b + 1)))
+
+
 def _normalize(num: IntPoly, den: IntPoly):
     """Canonical form: reduced fraction of integer polynomials.
 
     Convention: the primitive parts of num and den are coprime, the integer
     contents of num and den are coprime, and den has a positive leading
     coefficient.  Zero is 0/1.  Equality is then componentwise.
+
+    When the primitive denominator splits as +-q^a*(q - 1)^b (constants
+    included, a = b = 0), the gcd of the primitive parts is
+    q^min(a, v) * (q - 1)^min(b, w), with v and w the multiplicities of q
+    and q - 1 in the numerator: both factors are irreducible and primitive,
+    so by Gauss's lemma this is exactly the primitive gcd with positive
+    leading coefficient that ``IntPoly.gcd`` returns.  It is divided out by
+    shifting and synthetic division.  Other denominators use the PRS gcd.
     """
     if den.is_zero():
         raise CoefficientError("denominator is zero")
@@ -276,15 +315,23 @@ def _normalize(num: IntPoly, den: IntPoly):
     cd = den.content()
     pn = num.primitive()
     pd = den.primitive()
-    g = IntPoly.gcd(pn, pd)
-    if g.coeffs != (1,):
-        pn = pn.div_exact(g)
-        pd = pd.div_exact(g)
+    n = len(pd.coeffs)
+    rest, a, b = _split_q_q1(pd.coeffs, n, n)
+    if len(rest) > 1:
+        g = IntPoly.gcd(pn, pd)
+        if g.coeffs != (1,):
+            pn = pn.div_exact(g)
+            pd = pd.div_exact(g)
+    else:
+        cs, v, w = _split_q_q1(pn.coeffs, a, b)
+        if v or w:
+            pn = IntPoly(cs)
+            pd = _q_q1_poly(rest[0], a - v, b - w)
     if pd.leading < 0:
         pn = -pn
         pd = -pd
-    s = Fraction(cn, cd)
-    return pn * s.numerator, pd * s.denominator
+    g = math.gcd(cn, cd)
+    return pn * (cn // g), pd * (cd // g)
 
 
 class RationalFunction:
@@ -328,9 +375,6 @@ class RationalFunction:
 
     def is_one(self) -> bool:
         return self.num.coeffs == (1,) and self.den.coeffs == (1,)
-
-    def is_constant(self) -> bool:
-        return (self.num.degree or 0) == 0 and (self.den.degree or 0) == 0
 
     # -- field operations --------------------------------------------------
 

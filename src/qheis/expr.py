@@ -322,6 +322,10 @@ def eval_free(e: Expression, q: QValue) -> FreeElement:
         base = eval_free(e.base, q)
         if e.exponent >= 0:
             return base ** e.exponent
+        if base.is_zero():
+            raise EvalError(
+                "division by zero: %s is 0 at q = %s" % (pretty(e.base), q.render())
+            )
         scalar = _as_scalar(base)
         if scalar is None:
             raise EvalError("negative power of a non-scalar expression")
@@ -337,8 +341,6 @@ def eval_free(e: Expression, q: QValue) -> FreeElement:
 
 
 def _as_scalar(x: FreeElement) -> Optional[RationalFunction]:
-    if x.is_zero():
-        return None
     if set(x.terms) == {""}:
         return x.terms[""]
     return None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qheis.cli import main
+from qheis.cli import _check_writable, main
 from qheis.coeff import QValue
 from qheis.lie import KNOWN_DISCREPANCIES
 from qheis.reports import Report
@@ -173,3 +173,52 @@ def test_zero_ideal_suite_prints_and_derives():
 def test_theta_suite_passes():
     rep = run("theta-lie", bounds={"len": 7})
     assert rep.all_passed
+
+
+def test_cli_accepts_negative_q_as_separate_token(capsys):
+    assert main(["eval", "--q=-1/3", "A*B"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["eval", "--q", "-1/3", "A*B"]) == 0
+    assert capsys.readouterr().out == joined
+    assert "q:            -1/3" in joined
+
+    args = ["verify", "--suite", "reorder", "--bound", "n=3", "--quiet"]
+    assert main(args + ["--q=-1/3"]) == 0
+    joined = capsys.readouterr().out
+    assert main(args + ["--q", "-1/3"]) == 0
+    assert capsys.readouterr().out == joined
+
+    assert main(["eval", "--q", "-1/0", "A"]) == 2
+    assert "q must be" in capsys.readouterr().err
+
+
+def test_cli_eval_names_division_by_zero(capsys):
+    assert main(["eval", "--q=0", "q^-1"]) == 2
+    assert "division by zero: q is 0 at q = 0" in capsys.readouterr().err
+    assert main(["eval", "--q=1", "(q-1)^-1"]) == 2
+    assert "division by zero: q - 1 is 0 at q = 1" in capsys.readouterr().err
+    assert main(["eval", "(q-q)^-2"]) == 2
+    assert "division by zero" in capsys.readouterr().err
+    assert main(["eval", "A^-1"]) == 2
+    assert "non-scalar" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_unwritable_json_path_before_running(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr("qheis.cli.run_suite", lambda cfg: ran.append(cfg))
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code = main(["verify", "--suite", "reorder", "--json", str(path)])
+        assert code == 2
+        assert "error: cannot write the JSON report" in capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_writability_check_leaves_files_as_they_were(tmp_path):
+    fresh = tmp_path / "report.json"
+    _check_writable(str(fresh))
+    assert not fresh.exists()
+    kept = tmp_path / "old.json"
+    kept.write_text("{}\n")
+    _check_writable(str(kept))
+    assert kept.read_text() == "{}\n"

@@ -15,6 +15,8 @@ from qheis.coeff import (
     RF_Q,
     RF_ZERO,
     RationalFunction,
+    _normalize,
+    _split_q_q1,
     binom2,
     q_binomial,
     q_factorial,
@@ -138,6 +140,98 @@ def test_powers_including_negative():
     assert x**3 == rf((-1, 3, -3, 1))
     assert x**-2 * x**2 == RF_ONE
     assert q_power(-3) * q_power(3) == RF_ONE
+
+
+# -- the gcd-free normalize path for c*q^a*(q-1)^b denominators ---------------
+
+Q_MINUS_1 = poly(-1, 1)
+
+
+def q_q1(c, a, b):
+    """c*q^a*(q-1)^b."""
+    return IntPoly.monomial(a, c) * Q_MINUS_1**b
+
+
+def prs_normalize(num, den):
+    """Reference: the general path, reducing by the PRS gcd of IntPoly.gcd."""
+    if num.is_zero():
+        return IntPoly.zero(), IntPoly.one()
+    cn, cd = num.content(), den.content()
+    pn, pd = num.primitive(), den.primitive()
+    g = IntPoly.gcd(pn, pd)
+    pn, pd = pn.div_exact(g), pd.div_exact(g)
+    if pd.leading < 0:
+        pn, pd = -pn, -pd
+    s = Fraction(cn, cd)
+    return pn * s.numerator, pd * s.denominator
+
+
+def split(p):
+    n = len(p.coeffs)
+    return _split_q_q1(p.coeffs, n, n)
+
+
+def test_split_q_q1_named_cases():
+    assert split(poly(5)) == ((5,), 0, 0)
+    assert split(poly(-1)) == ((-1,), 0, 0)
+    assert split(poly(0, 0, 3)) == ((3,), 2, 0)
+    assert split(poly(-1, 1)) == ([1], 0, 1)
+    assert split(poly(1, -1)) == ([-1], 0, 1)
+    assert split(q_q1(-2, 3, 4)) == ([-2], 3, 4)
+    assert split(poly(1, 1)) == ((1, 1), 0, 0)  # q + 1
+    assert split(poly(1, 1, 1)) == ((1, 1, 1), 0, 0)  # q^2 + q + 1
+    assert split(q_q1(1, 1, 2) * poly(1, 1)) == ([1, 1], 1, 2)
+    # the caps bound what is taken from a numerator
+    assert _split_q_q1(q_q1(3, 2, 3).coeffs, 1, 2) == ([0, -3, 3], 1, 2)
+
+
+def test_normalize_fast_path_named_cases():
+    # (q^3 - q^2)/(q^2 - 2q + 1) = q^2/(q - 1)
+    assert _normalize(q_q1(1, 2, 1), q_q1(1, 0, 2)) == (poly(0, 0, 1), Q_MINUS_1)
+    # negative leading coefficient moves to the numerator
+    assert _normalize(poly(1, 1), poly(0, -1)) == (poly(-1, -1), poly(0, 1))
+    # numerator with higher (q-1) multiplicity than the denominator
+    assert _normalize(q_q1(6, 0, 3), q_q1(4, 1, 1)) == (q_q1(3, 0, 2), poly(0, 2))
+    # constants
+    assert _normalize(poly(6), poly(-4)) == (poly(-3), poly(2))
+
+
+poly_coeffs = st.lists(st.integers(-6, 6), max_size=4)
+q_q1_factor = st.builds(
+    q_q1, st.sampled_from([1, -1, 2, -3, 6]), st.integers(0, 3), st.integers(0, 4)
+)
+denominator_rest = st.one_of(
+    st.just(poly(1)),
+    st.sampled_from([poly(1, 1), poly(1, 1, 1), poly(2, 0, 1), poly(-1, 2)]),
+    poly_coeffs.map(IntPoly).filter(lambda p: not p.is_zero()),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(q_q1_factor, poly_coeffs.map(IntPoly), q_q1_factor, denominator_rest)
+def test_normalize_matches_prs_path(num_factor, num_rest, den_factor, den_rest):
+    num = num_factor * num_rest
+    den = den_factor * den_rest
+    assert _normalize(num, den) == prs_normalize(num, den)
+
+
+def test_normalize_agrees_with_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+    rng = random.Random(6)
+
+    def to_sympy(p):
+        return sum(c * x**i for i, c in enumerate(p.coeffs))
+
+    for _ in range(100):
+        num = q_q1(rng.choice([1, -2, 3]), rng.randrange(3), rng.randrange(4)) * rand_poly(rng)
+        den = q_q1(rng.choice([1, -1, 4]), rng.randrange(3), rng.randrange(4))
+        if rng.random() < 0.3:
+            den = den * rand_poly(rng, zero_ok=False)
+        n, d = _normalize(num, den)
+        assert sympy.cancel(to_sympy(n) / to_sympy(d) - to_sympy(num) / to_sympy(den)) == 0
+        # reduced: no common factor of positive degree is left
+        assert sympy.degree(sympy.gcd(to_sympy(n), to_sympy(d)), x) <= 0
 
 
 # -- specialize --------------------------------------------------------------
