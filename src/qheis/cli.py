@@ -33,15 +33,22 @@ def _parse_bounds(pairs: Optional[List[str]]) -> Dict[str, int]:
     return out
 
 
-def _join_negative_q(argv: List[str]) -> List[str]:
-    """Rewrite ``--q -1/3`` as ``--q=-1/3``: argparse reads a separate
-    token that starts with '-' and is not a plain number as an option."""
+def _prepare_argv(argv: List[str]) -> List[str]:
+    """Rewrite the tokens argparse would misread as options.  It reads a
+    separate token that starts with '-' and is not a plain number as an
+    option, so ``--q -1/3`` becomes ``--q=-1/3``, and an ``eval``
+    expression that starts with a single '-' (``-B``, ``-2*A*B``) moves to
+    the end, behind ``--``."""
     out: List[str] = []
     for tok in argv:
         if out and out[-1] == "--q" and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] = "--q=" + tok
         else:
             out.append(tok)
+    if out[:1] == ["eval"] and "--" not in out:
+        for i, tok in enumerate(out):
+            if tok[:1] == "-" and tok[1:2] != "-" and tok != "-h" and out[i - 1] != "--q":
+                return out[:i] + out[i + 1 :] + ["--", tok]
     return out
 
 
@@ -91,7 +98,6 @@ def _cmd_verify(args) -> int:
             suite=args.suite,
             q=q,
             bounds=bounds,
-            output="json" if args.json else "text",
             parallelism=max(1, args.jobs),
         )
         if args.json:
@@ -147,7 +153,7 @@ def _cmd_eval(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_join_negative_q(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_prepare_argv(sys.argv[1:] if argv is None else argv))
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "eval":

@@ -2,9 +2,10 @@
 Q(q), and the q-analog combinatorics built on top of it.
 
 Everything here is immutable and exact.  A coefficient is always a
-``RationalFunction``; a concrete rational value of q is handled by storing
-constant polynomials, so one scalar type serves the symbolic and the
-specialized modes alike.
+``RationalFunction``, so one scalar type serves the symbolic and the
+specialized modes alike.  At a rational q the coefficients are constants
+n/d; ``+`` and ``*`` of two constants take an integer path (cross-cancel
+before multiplying, one ``math.gcd`` after adding) and skip ``_normalize``.
 
 Nearly every denominator met in H(q) is c*q^a*(q-1)^b: the q-integers
 {n}_q = (q^n - 1)/(q - 1) and the q^k prefactors of the commutation
@@ -334,6 +335,22 @@ def _normalize(num: IntPoly, den: IntPoly):
     return pn * (cn // g), pd * (cd // g)
 
 
+def _const_poly(c: int) -> IntPoly:
+    """The constant polynomial c (c != 0), built without re-trimming."""
+    p = object.__new__(IntPoly)
+    p.coeffs = (c,)
+    return p
+
+
+def _const(n: int, d: int) -> "RationalFunction":
+    """Canonical n/d for coprime integers n and d > 0.  Every reduced
+    constant (at most one numerator and exactly one denominator
+    coefficient) has this form, which the integer paths of + and * use."""
+    if not n:
+        return RF_ZERO
+    return RationalFunction(_const_poly(n), _P_ONE if d == 1 else _const_poly(d), _raw=True)
+
+
 class RationalFunction:
     """Element of Q(q) as a reduced fraction of integer polynomials."""
 
@@ -380,6 +397,15 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = RationalFunction.coerce(other)
+        a, b = self.num.coeffs, other.num.coeffs
+        if len(a) < 2 and len(b) < 2 and len(self.den.coeffs) == 1 == len(other.den.coeffs):
+            (d1,), (d2,) = self.den.coeffs, other.den.coeffs
+            if d1 == d2:
+                n, d = sum(a) + sum(b), d1
+            else:
+                n, d = sum(a) * d2 + sum(b) * d1, d1 * d2
+            g = math.gcd(n, d) if d != 1 else 1
+            return _const(n // g, d // g)
         if self.den == other.den:
             if self.den.coeffs == (1,):
                 return RationalFunction(self.num + other.num, _P_ONE, _raw=True)
@@ -401,6 +427,13 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = RationalFunction.coerce(other)
+        a, b = self.num.coeffs, other.num.coeffs
+        if len(a) < 2 and len(b) < 2 and len(self.den.coeffs) == 1 == len(other.den.coeffs):
+            if not a or not b:
+                return RF_ZERO
+            (n1,), (n2,), (d1,), (d2,) = a, b, self.den.coeffs, other.den.coeffs
+            g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+            return _const((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
         if self.den.coeffs == (1,) and other.den.coeffs == (1,):
             return RationalFunction(self.num * other.num, _P_ONE, _raw=True)
         return RationalFunction(self.num * other.num, self.den * other.den)

@@ -99,9 +99,6 @@ class FreeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        return len({len(w) for w in self.terms}) <= 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FreeElement) and self.terms == other.terms
 

@@ -334,9 +334,6 @@ class GradedParts:
 
     parts: Dict[int, NormalElement]
 
-    def degrees(self):
-        return sorted(self.parts)
-
     def total(self, q: QValue) -> NormalElement:
         acc = NormalElement.zero(q)
         for p in self.parts.values():

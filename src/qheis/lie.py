@@ -174,21 +174,6 @@ def combo_expand(pairs: List[Tuple[RationalFunction, BasisKey]], q: QValue) -> N
     return acc
 
 
-def render_combo(pairs: List[Tuple[RationalFunction, BasisKey]]) -> str:
-    if not pairs:
-        return "0"
-    parts = []
-    for c, v in pairs:
-        cs = c.render()
-        if cs == "1":
-            parts.append(v.render())
-        else:
-            if "+" in cs or "- " in cs or "/" in cs:
-                cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, v.render()))
-    return " + ".join(parts)
-
-
 def gen_basis_coords(x: NormalElement) -> Dict[BasisKey, RationalFunction]:
     """Exact coordinates of x in the full basis of H(q): the L(q) basis
     {<BA>, A, B, Abar, Bbar, Gbar} plus the complement {I, A^k, B^l}."""

@@ -646,7 +646,6 @@ class SuiteConfig:
     suite: str
     q: QValue
     bounds: Dict[str, int] = field(default_factory=dict)
-    output: str = "text"
     parallelism: int = 1
 
     def __post_init__(self):

@@ -192,6 +192,34 @@ def test_cli_accepts_negative_q_as_separate_token(capsys):
     assert "q must be" in capsys.readouterr().err
 
 
+def test_cli_eval_accepts_expression_that_starts_with_minus(capsys):
+    assert main(["eval", "--", "-B"]) == 0
+    separated = capsys.readouterr().out
+    assert main(["eval", "-B"]) == 0
+    assert capsys.readouterr().out == separated
+    assert "expression:   -B" in separated
+
+    assert main(["eval", "--q=2", "--", "-2*A*B"]) == 0
+    separated = capsys.readouterr().out
+    for argv in (["--q=2", "-2*A*B"], ["-2*A*B", "--q=2"], ["--q", "2", "-2*A*B"]):
+        assert main(["eval"] + argv) == 0
+        assert capsys.readouterr().out == separated
+    assert main(["eval", "--q", "-1/3", "-B"]) == 0
+    assert "q:            -1/3" in capsys.readouterr().out
+
+
+def test_cli_eval_help_and_q_still_read_as_options(capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", flag])
+        assert exc.value.code == 0
+        assert "usage: qheis eval" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "-B", "--q"])
+    assert exc.value.code == 2
+    assert "--q: expected one argument" in capsys.readouterr().err
+
+
 def test_cli_eval_names_division_by_zero(capsys):
     assert main(["eval", "--q=0", "q^-1"]) == 2
     assert "division by zero: q is 0 at q = 0" in capsys.readouterr().err

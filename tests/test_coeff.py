@@ -234,6 +234,73 @@ def test_normalize_agrees_with_sympy_cancel():
         assert sympy.degree(sympy.gcd(to_sympy(n), to_sympy(d)), x) <= 0
 
 
+# -- the integer path for constant operands of + and * ------------------------
+
+
+def const(n, d=1):
+    return RationalFunction.from_fraction(Fraction(n, d))
+
+
+def parts(x):
+    return x.num.coeffs, x.den.coeffs
+
+
+powers_of_3 = st.integers(0, 40).map(lambda k: 3**k)
+const_num = st.one_of(
+    st.just(0),
+    st.integers(-30, 30),
+    st.builds(lambda s, p: s * p, st.sampled_from([1, -1, 2, -2]), powers_of_3),
+)
+const_den = st.one_of(st.just(1), st.integers(1, 30), powers_of_3, powers_of_3.map(lambda p: 2 * p))
+
+
+@st.composite
+def const_pairs(draw):
+    n1, n2, d1 = draw(const_num), draw(const_num), draw(const_den)
+    d2 = d1 if draw(st.booleans()) else draw(const_den)
+    return const(n1, d1), const(n2, d2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(const_pairs())
+def test_constant_arithmetic_matches_normalize_path(pair):
+    a, b = pair
+    product = RationalFunction(a.num * b.num, a.den * b.den)
+    total = RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert parts(a * b) == parts(product)
+    assert parts(a + b) == parts(total)
+    fa, fb = a.specialize(0), b.specialize(0)
+    assert (a * b).specialize(0) == fa * fb
+    assert (a + b).specialize(0) == fa + fb
+
+
+def test_constant_arithmetic_named_cases(monkeypatch):
+    calls = []
+    monkeypatch.setattr("qheis.coeff._normalize", lambda n, d: calls.append(1) or _normalize(n, d))
+
+    # sums that cancel to zero are the canonical 0/1
+    assert parts(const(1, 3) + const(-1, 3)) == ((), (1,))
+    assert parts(const(1, 6) + const(1, 3) + const(-1, 2)) == ((), (1,))
+    assert parts(const(0) + const(0)) == ((), (1,))
+    # sums and products that reduce to an integer have denominator 1
+    assert parts(const(1, 3) + const(2, 3)) == ((1,), (1,))
+    assert parts(const(3, 4) * const(8, 3)) == ((2,), (1,))
+    assert parts(const(-9, 2) * const(2, 3)) == ((-3,), (1,))
+    assert parts(const(5, 6) * const(0)) == ((), (1,))
+    # cross cancellation on both sides, sign on the numerator
+    assert parts(const(-4, 9) * const(3, 8)) == ((-1,), (6,))
+    assert parts(const(1, 6) + const(1, 10)) == ((4,), (15,))
+    assert calls == []
+
+    # a polynomial operand takes the general path
+    one_plus_q_over_q, q, inv_q = rf((1, 1), (0, 1)), rf((0, 1)), rf((1,), (0, 1))
+    expected = [rf((2, 2), (0, 1)), rf((1, 3), (3,)), rf((3,), (0, 1))]
+    calls.clear()
+    got = [const(2) * one_plus_q_over_q, const(1, 3) + q, const(3) * inv_q]
+    assert len(calls) == 3
+    assert [parts(x) for x in got] == [parts(x) for x in expected]
+
+
 # -- specialize --------------------------------------------------------------
 
 
