@@ -96,10 +96,7 @@ class IntPoly:
 
     def content(self) -> int:
         """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Divide out the content.  Sign of the polynomial is preserved."""
@@ -444,6 +441,9 @@ class RationalFunction:
         """Multiplicative inverse; error on zero."""
         if self.is_zero():
             raise CoefficientError("inverse of zero in Q(q)")
+        if len(self.num.coeffs) == 1 == len(self.den.coeffs):
+            (n,), (d,) = self.num.coeffs, self.den.coeffs
+            return _const(d if n > 0 else -d, abs(n))
         return RationalFunction(self.den, self.num)
 
     def __truediv__(self, other) -> "RationalFunction":

@@ -62,6 +62,7 @@ from .lie import (
     notanbm_sides,
     sandwiched_f_r,
     table1_cells,
+    table1_rhs,
     table1_sides,
     table2_sides,
 )
@@ -268,30 +269,23 @@ def _suite_beta_closed(q: QValue, bounds, jobs) -> Report:
 
 def _suite_table1(q: QValue, bounds, jobs) -> Report:
     rep = Report("table1", q.render(), bounds)
-    work: Work = []
+    work = []
     for name, rv, cv in table1_cells(bounds["idx"]):
         key = (name, rv.render(), cv.render())
+        # one commutator per cell; the derived twin reports only when the
+        # printed form fails, and reuses the printed check's lhs
         def check(rv=rv, cv=cv, key=key):
             lhs, rhs = table1_sides(rv, cv, q, derived=False)
-            if lhs == rhs:
-                return Entry(key, PASS, lhs.render(), rhs.render())
-            return Entry(key, FAIL, lhs.render(), rhs.render(), (lhs - rhs).render())
+            printed = _compare(key, lhs, rhs)
+            if printed.status == PASS:
+                return [printed]
+            rhs_d = table1_rhs(rv, cv, q, derived=True)
+            return [printed, _compare(key + ("derived",), lhs, rhs_d)]
         work.append((key, check))
-        key2 = key + ("derived",)
-        # the derived twin only reports when the printed form fails
-        def check_derived(rv=rv, cv=cv, key=key2):
-            lhs, rhs_p = table1_sides(rv, cv, q, derived=False)
-            if lhs == rhs_p:
-                return None
-            rhs_d = table1_sides(rv, cv, q, derived=True)[1]
-            return _compare(key, lhs, rhs_d)
-        work.append((key2, check_derived))
     if q.is_degenerate:
-        rep.entries = [
-            Entry(key, SKIPPED) for key, _ in work if key[-1] != "derived"
-        ]
+        rep.entries = [Entry(key, SKIPPED) for key, _ in work]
     else:
-        rep.entries = [e for e in _execute(work, jobs) if e is not None]
+        rep.entries = [e for entries in _execute(work, jobs) for e in entries]
     return rep.sort()
 
 

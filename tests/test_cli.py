@@ -6,7 +6,7 @@ import pytest
 
 from qheis.cli import _check_writable, main
 from qheis.coeff import QValue
-from qheis.lie import KNOWN_DISCREPANCIES
+from qheis.lie import KNOWN_DISCREPANCIES, table1_cells
 from qheis.reports import Report
 from qheis.suites import SUITES, SuiteConfig, run_suite
 
@@ -74,6 +74,43 @@ def test_table1_failures_are_exactly_the_known_typo_cells():
     assert "table1:Abar-A" in KNOWN_DISCREPANCIES
 
 
+def test_table1_computes_each_commutator_once(monkeypatch):
+    import qheis.lie
+    import qheis.suites
+
+    run("table1", bounds={"idx": 2})  # warm the basis-expansion caches
+    commutators, derived_rhs = [], []
+    commutator, table1_rhs = qheis.lie.commutator, qheis.lie.table1_rhs
+
+    def counted_commutator(x, y):
+        commutators.append(1)
+        return commutator(x, y)
+
+    def counted_rhs(row, col, q, derived=False):
+        if derived:
+            derived_rhs.append((row.render(), col.render()))
+        return table1_rhs(row, col, q, derived)
+
+    monkeypatch.setattr(qheis.lie, "commutator", counted_commutator)
+    monkeypatch.setattr(qheis.lie, "table1_rhs", counted_rhs)
+    monkeypatch.setattr(qheis.suites, "table1_rhs", counted_rhs)
+    rep = run("table1", bounds={"idx": 2})
+    assert len(commutators) == len(list(table1_cells(2)))
+    fails = [e.tuple[1:] for e in rep.entries if e.status == "fail"]
+    assert fails and sorted(derived_rhs) == sorted(fails)
+
+
+def test_table1_derived_twin_exactly_for_failing_printed_cells():
+    rep = run("table1", bounds={"idx": 3})
+    derived = [e for e in rep.entries if e.tuple[-1] == "derived"]
+    printed_fails = {e.tuple for e in rep.entries if e.status == "fail"}
+    assert {e.tuple[:-1] for e in derived} == printed_fails
+    assert all(e.status == "pass" for e in derived)
+    assert rep.summary == {"pass": 634, "fail": 25, "skipped": 0}
+    skipped = run("table1", q="1", bounds={"idx": 3})
+    assert skipped.summary == {"pass": 0, "fail": 0, "skipped": len(list(table1_cells(3)))}
+
+
 def test_table2_suite_all_pass_including_rederived_cell():
     rep = run("table2", bounds={"mn": 3, "kl": 2})
     assert rep.all_passed
@@ -104,6 +141,8 @@ def test_reports_are_deterministic_under_parallelism():
     seq = run("adad", bounds={"m": 3, "n": 3}, jobs=1)
     par = run("adad", bounds={"m": 3, "n": 3}, jobs=4)
     assert seq == par
+    # table1's work items return lists of entries
+    assert run("table1", bounds={"idx": 2}, jobs=2) == run("table1", bounds={"idx": 2}, jobs=1)
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

@@ -301,6 +301,40 @@ def test_constant_arithmetic_named_cases(monkeypatch):
     assert [parts(x) for x in got] == [parts(x) for x in expected]
 
 
+@settings(max_examples=500, deadline=None)
+@given(const_num.filter(bool), const_den)
+def test_constant_inverse_matches_normalize_path(n, d):
+    a = const(n, d)
+    assert parts(a.inv()) == parts(RationalFunction(a.den, a.num))
+    assert a.inv().specialize(0) == 1 / Fraction(n, d)
+    assert a.inv().inv() == a
+
+
+def test_constant_inverse_named_cases(monkeypatch):
+    calls = []
+    monkeypatch.setattr("qheis.coeff._normalize", lambda n, d: calls.append(1) or _normalize(n, d))
+    assert parts(const(1).inv()) == ((1,), (1,))
+    assert parts(const(-1).inv()) == ((-1,), (1,))
+    assert parts(const(-2, 3).inv()) == ((-3,), (2,))
+    assert parts(const(3**40, 2).inv()) == ((2,), (3**40,))
+    assert parts(const(-(3**40)).inv()) == ((-1,), (3**40,))
+    assert calls == []
+    with pytest.raises(CoefficientError, match="inverse of zero in Q\\(q\\)"):
+        const(0).inv()
+    # a polynomial takes the general path
+    two_q_over_3 = rf((0, 2), (3,))
+    calls.clear()
+    assert parts(two_q_over_3.inv()) == ((3,), (0, 2))
+    assert len(calls) == 1
+
+
+def test_content_is_the_nonnegative_gcd():
+    assert poly().content() == 0
+    assert poly(-6).content() == 6
+    assert poly(0, -4, 6).content() == 2
+    assert poly(3**40, -(3**41), 2 * 3**40).content() == 3**40
+
+
 # -- specialize --------------------------------------------------------------
 
 
