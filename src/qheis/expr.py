@@ -11,9 +11,11 @@ Grammar (precedence low to high):
              | "[" expr "," expr "]"         # commutator
              | "<" word ">"                  # bracketed regular word
 
-Negative powers are only defined for scalar subexpressions (multiples of
-the empty word).  <W> demands a regular word and parses straight into its
-canonical bracketing.
+Evaluation happens in H(q), in PBW coordinates: every subexpression is
+a NormalElement, so nothing is expanded in the free algebra.  Negative
+powers are only defined for a base that is a nonzero multiple of I in
+H(q) (so (A*B - q*B*A)^-1 is I).  <W> demands a regular word and
+evaluates to its canonical bracketing in H(q).
 """
 
 from __future__ import annotations
@@ -21,18 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .coeff import CoefficientError, QValue, RationalFunction
-from .freealg import FreeElement, commutator as f_commutator, eval_monomial
+from .coeff import QValue, RationalFunction
 from .heis import (
     GradedParts,
     LiePowerCoords,
     NormalElement,
+    bracketed_word,
+    commutator,
     grade,
-    normal_form,
     to_lie_power_basis,
 )
 from .lie import membership_generic, membership_zero
-from .words import bracketing, is_regular
+from .words import is_regular
 
 
 class ParseError(ValueError):
@@ -300,57 +302,47 @@ def pretty(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_free(e: Expression, q: QValue) -> FreeElement:
-    """Evaluate an AST in the free algebra with scalars from Q(q)."""
+def _eval(e: Expression, q: QValue) -> NormalElement:
+    """Evaluate an AST in H(q), in PBW coordinates."""
     if isinstance(e, Letter):
-        return FreeElement.word(e.name)
+        m, n = (0, 1) if e.name == "A" else (1, 0)
+        return NormalElement.monomial(m, n, q)
     if isinstance(e, Ident):
-        return FreeElement.one()
+        return NormalElement.one(q)
     if isinstance(e, QSym):
-        return FreeElement.word("", q.scalar())
+        return NormalElement.monomial(0, 0, q, q.scalar())
     if isinstance(e, IntLit):
-        return FreeElement.word("", RationalFunction.from_int(e.value))
+        return NormalElement.monomial(0, 0, q, RationalFunction.from_int(e.value))
     if isinstance(e, Neg):
-        return -eval_free(e.arg, q)
+        return -_eval(e.arg, q)
     if isinstance(e, Add):
-        return eval_free(e.left, q) + eval_free(e.right, q)
+        return _eval(e.left, q) + _eval(e.right, q)
     if isinstance(e, Sub):
-        return eval_free(e.left, q) - eval_free(e.right, q)
+        return _eval(e.left, q) - _eval(e.right, q)
     if isinstance(e, Mul):
-        return eval_free(e.left, q) * eval_free(e.right, q)
+        return _eval(e.left, q) * _eval(e.right, q)
     if isinstance(e, Pow):
-        base = eval_free(e.base, q)
+        base = _eval(e.base, q)
         if e.exponent >= 0:
             return base ** e.exponent
         if base.is_zero():
             raise EvalError(
                 "division by zero: %s is 0 at q = %s" % (pretty(e.base), q.render())
             )
-        scalar = _as_scalar(base)
-        if scalar is None:
+        if set(base.terms) != {(0, 0)}:
             raise EvalError("negative power of a non-scalar expression")
-        try:
-            return FreeElement.word("", scalar ** e.exponent)
-        except CoefficientError as exc:
-            raise EvalError(str(exc)) from exc
+        return NormalElement.monomial(0, 0, q, base.coeff(0, 0) ** e.exponent)
     if isinstance(e, Commutator):
-        return f_commutator(eval_free(e.left, q), eval_free(e.right, q))
+        return commutator(_eval(e.left, q), _eval(e.right, q))
     if isinstance(e, BracketWord):
-        return eval_monomial(bracketing(e.word))
+        return bracketed_word(e.word, q)
     raise TypeError("unknown AST node %r" % (e,))
-
-
-def _as_scalar(x: FreeElement) -> Optional[RationalFunction]:
-    if set(x.terms) == {""}:
-        return x.terms[""]
-    return None
 
 
 @dataclass
 class EvalResult:
     expression: Expression
     q: QValue
-    free: FreeElement
     normal: NormalElement
     graded: GradedParts
     lie_coords: Optional[LiePowerCoords]
@@ -360,8 +352,7 @@ class EvalResult:
 
 def eval_expr(e: Expression, q: QValue) -> EvalResult:
     """Normal form plus the derived views the CLI prints."""
-    free = eval_free(e, q)
-    nf = normal_form(free, q)
+    nf = _eval(e, q)
     graded = grade(nf)
     lie_coords = None
     if not (q.is_zero or q.is_one):
@@ -375,4 +366,4 @@ def eval_expr(e: Expression, q: QValue) -> EvalResult:
     else:
         mode = "generic"
         membership = membership_generic(nf)
-    return EvalResult(e, q, free, nf, graded, lie_coords, membership, mode)
+    return EvalResult(e, q, nf, graded, lie_coords, membership, mode)

@@ -112,9 +112,15 @@ class NormalElement:
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
                 c12 = c1 * c2
-                for (a, b), f in _an_bk_expansion(n1, m2, q):
-                    key = (m1 + a, b + n2)
-                    c = c12 * f
+                if n1 and m2:
+                    terms = [
+                        ((m1 + a, b + n2), c12 * f)
+                        for (a, b), f in _an_bk_expansion(n1, m2, q)
+                    ]
+                else:
+                    # A^n1 B^m2 with n1 == 0 or m2 == 0 is already B^m2 A^n1
+                    terms = (((m1 + m2, n1 + n2), c12),)
+                for key, c in terms:
                     acc = out.get(key)
                     s = c if acc is None else acc + c
                     if s.is_zero():

@@ -270,6 +270,14 @@ def test_cli_eval_names_division_by_zero(capsys):
     assert "non-scalar" in capsys.readouterr().err
 
 
+def test_cli_eval_negative_power_of_a_multiple_of_identity_in_hq(capsys):
+    # AB - qBA is I in H(q), though not a scalar in the free algebra
+    assert main(["eval", "(A*B - q*B*A)^-1"]) == 0
+    assert "normal form:  1\n" in capsys.readouterr().out
+    assert main(["eval", "(A*B - q*B*A - I)^-1"]) == 2
+    assert "division by zero" in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_unwritable_json_path_before_running(tmp_path, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr("qheis.cli.run_suite", lambda cfg: ran.append(cfg))

@@ -1,10 +1,10 @@
 """Expression surface syntax: parsing, pretty printing, evaluation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qheis.coeff import QValue, RF_Q
+from qheis.coeff import QValue, RF_Q, RationalFunction
 from qheis.expr import (
     Add,
     BracketWord,
@@ -20,15 +20,60 @@ from qheis.expr import (
     QSym,
     Sub,
     eval_expr,
-    eval_free,
     parse,
     pretty,
 )
-from qheis.freealg import FreeElement, eval_monomial
-from qheis.heis import comm_power, nf_word
+from qheis.freealg import FreeElement, commutator as f_commutator, eval_monomial
+from qheis.heis import comm_power, nf_word, normal_form
 from qheis.words import bracketing
 
 SYM = QValue()
+QS = [SYM, QValue.rational(2), QValue.parse("-1/3"), QValue.rational(0), QValue.rational(1)]
+
+
+def free_eval(e, q):
+    """Reference: the AST expanded word by word in the free algebra, as
+    `eval_expr` once did before normalizing.  A negative power needs a
+    base that is a multiple of the empty word."""
+    if isinstance(e, Letter):
+        return FreeElement.word(e.name)
+    if isinstance(e, Ident):
+        return FreeElement.one()
+    if isinstance(e, QSym):
+        return FreeElement.word("", q.scalar())
+    if isinstance(e, IntLit):
+        return FreeElement.word("", RationalFunction.from_int(e.value))
+    if isinstance(e, Neg):
+        return -free_eval(e.arg, q)
+    if isinstance(e, Add):
+        return free_eval(e.left, q) + free_eval(e.right, q)
+    if isinstance(e, Sub):
+        return free_eval(e.left, q) - free_eval(e.right, q)
+    if isinstance(e, Mul):
+        return free_eval(e.left, q) * free_eval(e.right, q)
+    if isinstance(e, Pow):
+        base = free_eval(e.base, q)
+        if e.exponent >= 0:
+            return base**e.exponent
+        if base.is_zero():
+            raise EvalError(
+                "division by zero: %s is 0 at q = %s" % (pretty(e.base), q.render())
+            )
+        if set(base.terms) != {""}:
+            raise EvalError("negative power of a non-scalar expression")
+        return FreeElement.word("", base.terms[""] ** e.exponent)
+    if isinstance(e, Commutator):
+        return f_commutator(free_eval(e.left, q), free_eval(e.right, q))
+    if isinstance(e, BracketWord):
+        return eval_monomial(bracketing(e.word))
+    raise TypeError("unknown AST node %r" % (e,))
+
+
+def _outcome(evaluate):
+    try:
+        return "ok", evaluate()
+    except EvalError as exc:
+        return "error", str(exc)
 
 
 def test_parse_defining_element():
@@ -38,7 +83,7 @@ def test_parse_defining_element():
         Ident(),
     )
     assert ast == expected
-    value = eval_free(ast, SYM)
+    value = free_eval(ast, SYM)
     defining = (
         FreeElement.word("AB")
         - FreeElement.word("BA", RF_Q)
@@ -47,10 +92,18 @@ def test_parse_defining_element():
     assert value == defining
 
 
+@pytest.mark.parametrize("q", QS, ids=str)
+def test_defining_relation_evaluates_to_zero(q):
+    # the paper's defining relation AB - qBA = I, at every q
+    assert eval_expr(parse("A*B - q*B*A - I"), q).normal.is_zero()
+
+
 def test_parse_bracketed_word():
     ast = parse("<BBA>")
     assert ast == BracketWord("BBA")
-    assert eval_free(ast, SYM) == eval_monomial(bracketing("BBA"))
+    assert free_eval(ast, SYM) == eval_monomial(bracketing("BBA"))
+    expected = normal_form(eval_monomial(bracketing("BBA")), SYM)
+    assert eval_expr(ast, SYM).normal == expected
 
 
 def test_parse_rejects_irregular_bracket_word():
@@ -111,10 +164,14 @@ def test_negative_powers_of_scalars_only():
     ast = parse("(q - 1)^-1 * (q*[A,B] - I)")
     result = eval_expr(ast, SYM)
     assert result.normal == nf_word("AB", SYM)
-    with pytest.raises(EvalError):
-        eval_free(parse("A^-1"), SYM)
-    with pytest.raises(EvalError):
-        eval_free(parse("0^-1"), SYM)
+    with pytest.raises(EvalError, match="non-scalar"):
+        eval_expr(parse("A^-1"), SYM)
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(parse("0^-1"), SYM)
+    # a base that is a multiple of I only in H(q) is a scalar too
+    assert eval_expr(parse("(A*B - q*B*A)^-1"), SYM).normal == nf_word("", SYM)
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(parse("(A*B - q*B*A - I)^-1"), SYM)
 
 
 def test_pretty_examples():
@@ -122,6 +179,17 @@ def test_pretty_examples():
     assert pretty(parse("[A , B]^2")) == "[A, B]^2"
     assert pretty(parse("-(A + B)")) == "-(A + B)"
     assert pretty(parse("A - (B - A)")) == "A - (B - A)"
+
+
+def _nodes(children, exponents):
+    return st.one_of(
+        st.tuples(children, children).map(lambda ab: Add(*ab)),
+        st.tuples(children, children).map(lambda ab: Sub(*ab)),
+        st.tuples(children, children).map(lambda ab: Mul(*ab)),
+        st.tuples(children, children).map(lambda ab: Commutator(*ab)),
+        children.map(Neg),
+        st.tuples(children, exponents).map(lambda be: Pow(*be)),
+    )
 
 
 def _ast_strategy():
@@ -133,21 +201,64 @@ def _ast_strategy():
         st.integers(0, 50).map(IntLit),
         st.sampled_from(["BA", "BAA", "BBA", "BBABA"]).map(BracketWord),
     )
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(children, children).map(lambda ab: Add(*ab)),
-            st.tuples(children, children).map(lambda ab: Sub(*ab)),
-            st.tuples(children, children).map(lambda ab: Mul(*ab)),
-            st.tuples(children, children).map(lambda ab: Commutator(*ab)),
-            children.map(Neg),
-            st.tuples(children, st.integers(-3, 4)).map(lambda be: Pow(*be)),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=12)
+    return st.recursive(
+        leaves, lambda children: _nodes(children, st.integers(-3, 4)), max_leaves=12
+    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ast_strategy())
 def test_pretty_then_parse_is_identity(ast):
     assert parse(pretty(ast)) == ast
+
+
+def _scalar_strategy():
+    """ASTs without letters, so negative powers are defined in both the free
+    algebra and H(q) exactly when the base is nonzero."""
+    leaves = st.one_of(st.just(Ident()), st.just(QSym()), st.integers(0, 3).map(IntLit))
+    return st.recursive(
+        leaves, lambda children: _nodes(children, st.integers(-3, 3)), max_leaves=4
+    )
+
+
+def _eval_strategy():
+    scalars = _scalar_strategy()
+    leaves = st.one_of(
+        st.just(Letter("A")),
+        st.just(Letter("B")),
+        st.just(Ident()),
+        st.just(QSym()),
+        st.integers(0, 5).map(IntLit),
+        st.sampled_from(["BA", "BAA", "BBA"]).map(BracketWord),
+        st.tuples(scalars, st.integers(-3, -1)).map(lambda be: Pow(*be)),
+    )
+    return st.recursive(
+        leaves, lambda children: _nodes(children, st.integers(0, 3)), max_leaves=8
+    )
+
+
+def _free_words_bound(e):
+    """Upper bound on the number of words in the free-algebra expansion."""
+    if isinstance(e, (Add, Sub)):
+        return _free_words_bound(e.left) + _free_words_bound(e.right)
+    if isinstance(e, Mul):
+        return _free_words_bound(e.left) * _free_words_bound(e.right)
+    if isinstance(e, Commutator):
+        return 2 * _free_words_bound(e.left) * _free_words_bound(e.right)
+    if isinstance(e, Neg):
+        return _free_words_bound(e.arg)
+    if isinstance(e, Pow):
+        return _free_words_bound(e.base) ** max(e.exponent, 0)
+    if isinstance(e, BracketWord):
+        return 2 ** (len(e.word) - 1)
+    return 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_eval_strategy())
+def test_eval_matches_free_algebra_reference(ast):
+    assume(_free_words_bound(ast) <= 256)
+    for q in QS:
+        want = _outcome(lambda: normal_form(free_eval(ast, q), q))
+        got = _outcome(lambda: eval_expr(ast, q).normal)
+        assert got == want, (pretty(ast), str(q))

@@ -181,6 +181,24 @@ def test_engine_is_total_at_q_one():
         assert normal_form(embed(x) * embed(y), q1) == x * y
 
 
+@pytest.mark.parametrize(
+    "q", [SYM, QValue.parse("-1/3"), Q0, QValue.rational(1)], ids=str
+)
+def test_product_matches_rewriter_on_pure_monomials(q):
+    # operands with n1 == 0 or m2 == 0 take the product's no-reordering path
+    rng = random.Random(25)
+    pure = [NormalElement.one(q), mono(1, 0, q), mono(3, 0, q), mono(0, 1, q), mono(0, 2, q)]
+
+    def operand():
+        if rng.random() < 0.4:
+            return rng.choice(pure)
+        return rand_normal(rng, q=q, support=2, nterms=3)
+
+    for _ in range(60):
+        x, y = operand(), operand()
+        assert x * y == normal_form(embed(x) * embed(y), q)
+
+
 # -- reordering formulas ---------------------------------------------------------
 
 
