@@ -5,7 +5,7 @@
 
 Exit status: 0 when nothing failed, 1 when any entry failed, 2 on usage
 errors (unknown suite, malformed q or bounds, an unwritable --json path,
-expression syntax errors, division by zero).
+expression syntax errors, too deep or too long input, division by zero).
 """
 
 from __future__ import annotations

@@ -116,6 +116,10 @@ Expression = Union[
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# refused beyond these, since the parser and bracketed_word recurse as deep
+MAX_DEPTH = 100
+MAX_WORD = 200
+
 _PUNCT = set("+-*^()[],<>")
 
 
@@ -152,6 +156,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -164,7 +169,8 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok[1]), tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError("expected %r, found %s" % (kind, found), tok[2])
         return tok
 
     def parse(self) -> Expression:
@@ -190,10 +196,17 @@ class _Parser:
         return e
 
     def factor(self) -> Expression:
+        # every nested (, [ and unary - passes through here
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError("expression nested deeper than %d levels" % MAX_DEPTH, self.peek()[2])
         if self.peek()[0] == "-":
             self.next()
-            return Neg(self.factor())
-        return self.power()
+            e = Neg(self.factor())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expression:
         e = self.primary()
@@ -236,12 +249,15 @@ class _Parser:
                 letters.append(self.next()[1])
             close = self.expect(">")
             word = "".join(letters)
+            if len(word) > MAX_WORD:
+                raise ParseError("bracketed word too long: %d letters, at most %d" % (len(word), MAX_WORD), pos)
             if not word or any(c not in "AB" for c in word):
                 raise ParseError("bracketed word must be nonempty over A, B", pos)
             if not is_regular(word):
                 raise ParseError("%r is not a regular word" % word, pos)
             return BracketWord(word)
-        raise ParseError("unexpected token %r" % (value,), pos)
+        found = "end of input" if kind == "end" else "token %r" % (value,)
+        raise ParseError("unexpected %s" % found, pos)
 
 
 def parse(text: str) -> Expression:

@@ -24,8 +24,8 @@ from .coeff import (
     q_binomial,
     q_int,
 )
-from .freealg import FreeElement, eval_monomial, scale_letters
-from .words import bracketing, check_word
+from .freealg import FreeElement, scale_letters
+from .words import check_word, factorize
 
 
 class QMismatchError(ValueError):
@@ -322,11 +322,15 @@ def commutator(x: NormalElement, y: NormalElement) -> NormalElement:
 
 @lru_cache(maxsize=None)
 def bracketed_word(w: str, q: QValue) -> NormalElement:
-    """The nonassociative regular word <w> pushed down to H(q).
-
-    Pipeline: canonical bracketing, free-algebra expansion, normal form.
-    """
-    return normal_form(eval_monomial(bracketing(w)), q)
+    """The nonassociative regular word <w> pushed down to H(q): <w> = [<g>, <h>]
+    at the canonical split w = g h, folded with `commutator` on the PBW basis."""
+    if len(w) == 1:
+        return NormalElement.monomial(int(check_word(w) == "B"), int(w == "A"), q)
+    try:
+        g, h = factorize(w)
+    except ValueError:
+        raise ValueError("bracketing needs a regular word, got %r" % w) from None
+    return commutator(bracketed_word(g, q), bracketed_word(h, q))
 
 
 # ---------------------------------------------------------------------------

@@ -297,3 +297,23 @@ def test_writability_check_leaves_files_as_they_were(tmp_path):
     kept.write_text("{}\n")
     _check_writable(str(kept))
     assert kept.read_text() == "{}\n"
+
+
+def test_cli_eval_refuses_deep_input_with_a_clean_error(capsys):
+    # one error line naming the cause, not a RecursionError traceback
+    cases = (
+        (["<" + "B" * 1199 + "A>"], "bracketed word too long: 1200 letters, at most 200"),
+        (["(" * 600 + "A" + ")" * 600], "expression nested deeper than 100 levels"),
+        (["--", "-" * 3000 + "A"], "expression nested deeper than 100 levels"),
+    )
+    for argv, cause in cases:
+        assert main(["eval"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + cause)
+        assert captured.err.count("\n") == 1
+
+
+def test_cli_eval_names_the_end_of_input(capsys):
+    assert main(["eval", "<BA"]) == 2
+    assert capsys.readouterr().err == "error: expected '>', found end of input (at position 3)\n"

@@ -1,11 +1,15 @@
 """Expression surface syntax: parsing, pretty printing, evaluation."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qheis.coeff import QValue, RF_Q, RationalFunction
 from qheis.expr import (
+    MAX_DEPTH,
+    MAX_WORD,
     Add,
     BracketWord,
     Commutator,
@@ -123,6 +127,40 @@ def test_parse_errors_carry_positions():
         parse("A B")  # juxtaposition is not multiplication
     with pytest.raises(ParseError):
         parse("C")
+
+
+def test_parse_errors_name_the_end_of_input():
+    for text, message in (
+        ("<BA", "expected '>', found end of input"),
+        ("(A + B", "expected ')', found end of input"),
+        ("[A, B", "expected ']', found end of input"),
+        ("A + ", "unexpected end of input"),
+        ("A^", "expected 'int', found end of input"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(text)
+    with pytest.raises(ParseError, match=re.escape("expected '>', found '+'")):
+        parse("<BA+")
+
+
+def test_nesting_limit_is_exact():
+    # every (, [ and unary - is one level of the parser
+    for opener, closer in (("(", ")"), ("[A, ", "]"), ("-", "")):
+        ok = opener * (MAX_DEPTH - 1) + "A" + closer * (MAX_DEPTH - 1)
+        parse(ok)
+        with pytest.raises(ParseError, match="nested deeper than %d levels" % MAX_DEPTH):
+            parse(opener * MAX_DEPTH + "A" + closer * MAX_DEPTH)
+    # a flat chain is not nesting: 300 operands evaluate as before
+    assert eval_expr(parse("+".join(["A"] * 300)), SYM).normal == eval_expr(parse("300*A"), SYM).normal
+
+
+def test_word_length_limit_is_exact():
+    longest = "<" + "B" * (MAX_WORD - 1) + "A>"
+    # at the limit, a word still evaluates under the deepest allowed nesting
+    deepest = "-" * (MAX_DEPTH - 1) + longest
+    assert eval_expr(parse(deepest), QValue.rational(2)).membership is True
+    with pytest.raises(ParseError, match="bracketed word too long: %d letters" % (MAX_WORD + 1)):
+        parse("<B" + longest[1:])
 
 
 def test_precedence_and_unary_minus():

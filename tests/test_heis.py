@@ -14,7 +14,7 @@ from qheis.coeff import (
     gauss_polynomial,
     q_int,
 )
-from qheis.freealg import FREE_A, FREE_B, FreeElement
+from qheis.freealg import FREE_A, FREE_B, FreeElement, eval_monomial
 from qheis.heis import (
     DegenerateQError,
     LEFTMOST,
@@ -40,6 +40,7 @@ from qheis.heis import (
     shift_poly_check,
     to_lie_power_basis,
 )
+from qheis.words import bracketing, enumerate_regular
 
 SYM = QValue()
 Q0 = QValue.rational(0)
@@ -345,6 +346,31 @@ def test_adad_vanishes_on_the_diagonal():
     br = bracketed_word("BA", SYM)
     for n in range(1, 5):
         assert commutator(br, mono(n, n)).is_zero()
+
+
+def free_bracketed_word(w, q):
+    """Reference for bracketed_word: expand the bracket tree of w into words of
+    the free algebra (up to 2^(|w|-1) of them) and rewrite each word."""
+    return normal_form(eval_monomial(bracketing(w)), q)
+
+
+@pytest.mark.parametrize(
+    "q", [SYM, QValue.rational(2), QValue.rational(-1, 3), Q0, QValue.rational(1)], ids=str
+)
+def test_bracketed_word_matches_free_algebra_reference(q):
+    # cold cache, so every sub-factor of the fold is recomputed here
+    bracketed_word.cache_clear()
+    for w in enumerate_regular(10):
+        assert bracketed_word(w, q) == free_bracketed_word(w, q), w
+
+
+def test_bracketed_word_rejects_invalid_words():
+    for w in ("AB", "", "ABA"):
+        with pytest.raises(ValueError, match="bracketing needs a regular word, got %r" % w):
+            bracketed_word(w, SYM)
+    for w in ("C", "CA"):
+        with pytest.raises(ValueError, match="word may contain only A and B: 'C'"):
+            bracketed_word(w, SYM)
 
 
 def test_fban_identities():
