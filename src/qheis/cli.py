@@ -151,15 +151,26 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# results are exact: during a call of main, integers of any length are read
+# and printed (Python 3.10.7 and later cap them at 4300 digits by default)
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_prepare_argv(sys.argv[1:] if argv is None else argv))
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    parser.error("unknown command")
-    return 2
+    limit = _get_digit_limit()
+    _set_digit_limit(0)
+    try:
+        parser = _build_parser()
+        args = parser.parse_args(_prepare_argv(sys.argv[1:] if argv is None else argv))
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "eval":
+            return _cmd_eval(args)
+        parser.error("unknown command")
+        return 2
+    finally:
+        _set_digit_limit(limit)
 
 
 if __name__ == "__main__":

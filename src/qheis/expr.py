@@ -283,9 +283,26 @@ def _prec(e: Expression) -> int:
     return _PREC_ATOM
 
 
+_CHAIN = (Add, Sub, Mul, Pow)
+
+
+def _left_spine(e: Expression):
+    """(the leftmost operand, the + - * ^ nodes above it, innermost first),
+    found in a loop: only real nesting, limited to MAX_DEPTH, recurses."""
+    spine = []
+    while isinstance(e, _CHAIN):
+        spine.append(e)
+        e = e.base if isinstance(e, Pow) else e.left
+    spine.reverse()
+    return e, spine
+
+
+_INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD), Mul: ("*", _PREC_MUL)}
+
+
 def pretty(e: Expression) -> str:
-    def wrap(child: Expression, minimum: int) -> str:
-        s = pretty(child)
+    def wrap(child: Expression, minimum: int, s: Optional[str] = None) -> str:
+        s = pretty(child) if s is None else s
         return "(%s)" % s if _prec(child) < minimum else s
 
     if isinstance(e, Letter):
@@ -296,16 +313,19 @@ def pretty(e: Expression) -> str:
         return "q"
     if isinstance(e, IntLit):
         return str(e.value)
-    if isinstance(e, Add):
-        return "%s + %s" % (wrap(e.left, _PREC_ADD), wrap(e.right, _PREC_ADD + 1))
-    if isinstance(e, Sub):
-        return "%s - %s" % (wrap(e.left, _PREC_ADD), wrap(e.right, _PREC_ADD + 1))
-    if isinstance(e, Mul):
-        return "%s*%s" % (wrap(e.left, _PREC_MUL), wrap(e.right, _PREC_MUL + 1))
     if isinstance(e, Neg):
         return "-%s" % wrap(e.arg, _PREC_NEG)
-    if isinstance(e, Pow):
-        return "%s^%d" % (wrap(e.base, _PREC_ATOM), e.exponent)
+    if isinstance(e, _CHAIN):
+        leaf, spine = _left_spine(e)
+        s = pretty(leaf)
+        for node in spine:
+            if isinstance(node, Pow):
+                s = "%s^%d" % (wrap(leaf, _PREC_ATOM, s), node.exponent)
+            else:
+                op, prec = _INFIX[type(node)]
+                s = wrap(leaf, prec, s) + op + wrap(node.right, prec + 1)
+            leaf = node
+        return s
     if isinstance(e, Commutator):
         return "[%s, %s]" % (pretty(e.left), pretty(e.right))
     if isinstance(e, BracketWord):
@@ -331,23 +351,27 @@ def _eval(e: Expression, q: QValue) -> NormalElement:
         return NormalElement.monomial(0, 0, q, RationalFunction.from_int(e.value))
     if isinstance(e, Neg):
         return -_eval(e.arg, q)
-    if isinstance(e, Add):
-        return _eval(e.left, q) + _eval(e.right, q)
-    if isinstance(e, Sub):
-        return _eval(e.left, q) - _eval(e.right, q)
-    if isinstance(e, Mul):
-        return _eval(e.left, q) * _eval(e.right, q)
-    if isinstance(e, Pow):
-        base = _eval(e.base, q)
-        if e.exponent >= 0:
-            return base ** e.exponent
-        if base.is_zero():
-            raise EvalError(
-                "division by zero: %s is 0 at q = %s" % (pretty(e.base), q.render())
-            )
-        if set(base.terms) != {(0, 0)}:
-            raise EvalError("negative power of a non-scalar expression")
-        return NormalElement.monomial(0, 0, q, base.coeff(0, 0) ** e.exponent)
+    if isinstance(e, _CHAIN):
+        leaf, spine = _left_spine(e)
+        x = _eval(leaf, q)
+        for node in spine:
+            if isinstance(node, Add):
+                x = x + _eval(node.right, q)
+            elif isinstance(node, Sub):
+                x = x - _eval(node.right, q)
+            elif isinstance(node, Mul):
+                x = x * _eval(node.right, q)
+            elif node.exponent >= 0:
+                x = x**node.exponent
+            elif x.is_zero():
+                raise EvalError(
+                    "division by zero: %s is 0 at q = %s" % (pretty(node.base), q.render())
+                )
+            elif set(x.terms) != {(0, 0)}:
+                raise EvalError("negative power of a non-scalar expression")
+            else:
+                x = NormalElement.monomial(0, 0, q, x.coeff(0, 0) ** node.exponent)
+        return x
     if isinstance(e, Commutator):
         return commutator(_eval(e.left, q), _eval(e.right, q))
     if isinstance(e, BracketWord):

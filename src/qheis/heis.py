@@ -4,6 +4,10 @@ and the closed-form reordering identities the rest of the package checks.
 
 The defining relation is AB - qBA = I, used as the rewrite rule
 AB -> q BA + I.  All coefficients are exact elements of Q(q).
+
+At symbolic q, a PBW product of four or more term pairs with every
+coefficient in Z[q] runs on ints: each polynomial is packed once into its
+value at q = 2^K (Kronecker substitution, K from a proven l1-norm bound).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Dict, Tuple
 from .coeff import (
     RF_ONE,
     RF_ZERO,
+    IntPoly,
     QValue,
     RationalFunction,
     binom2,
@@ -48,6 +53,7 @@ def _require_not_01(q: QValue, what: str) -> None:
 
 
 MonoKey = Tuple[int, int]
+_P_ONE = IntPoly.one()
 
 
 class NormalElement:
@@ -108,6 +114,12 @@ class NormalElement:
 
     def __mul__(self, other: "NormalElement") -> "NormalElement":
         q = _require_q(self, other)
+        # at symbolic q with all coefficients in Z[q] (else None), multiply
+        # packed ints; below four term pairs the loop below is faster
+        if q.is_symbolic and len(self.terms) * len(other.terms) > 3:
+            out = _packed_product(self.terms, other.terms, q)
+            if out is not None:
+                return NormalElement(q, out, _raw=True)
         out: Dict[MonoKey, RationalFunction] = {}
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
@@ -211,6 +223,65 @@ def _an_bk_expansion(n: int, k: int, q: QValue):
                     nxt[key] = down if acc is None else acc + down
         state = {key: c for key, c in nxt.items() if not c.is_zero()}
     return tuple(sorted(state.items()))
+
+
+def _packed_product(xt, yt, q: QValue):
+    """The loop of ``NormalElement.__mul__`` on the term maps xt and yt, on
+    their Z[q] coefficients packed once at q = 2^K (a ring homomorphism to
+    Z) and unpacked once from balanced base-2^K digits; None if a
+    denominator is not 1.  No coefficient of a partial sum exceeds the l1
+    bound |x|_1 |y|_1 max |f|_1 (f over the expansions used) < 2^(K-1), so
+    the digits are exact and a packed sum is 0 only for the zero
+    polynomial.  K is a multiple of 16, to keep the packed expansions few."""
+    if any(c.den.coeffs != (1,) for t in (xt, yt) for c in t.values()):
+        return None
+    ns, ms = {n for _, n in xt if n}, {m for m, _ in yt if m}
+    bound = max((_an_bk_norm(n, m, q) for n in ns for m in ms), default=1)
+    for t in (xt, yt):
+        bound *= sum(sum(map(abs, c.num.coeffs)) for c in t.values())
+    K = (bound.bit_length() + 16) // 16 * 16
+    xp = [(key, _pack(c.num.coeffs, K)) for key, c in xt.items()]
+    yp = [(key, _pack(c.num.coeffs, K)) for key, c in yt.items()]
+    out: Dict[MonoKey, int] = {}
+    for (m1, n1), c1 in xp:
+        for (m2, n2), c2 in yp:
+            c12 = c1 * c2
+            if n1 and m2:
+                terms = [((m1 + a, b + n2), c12 * f) for (a, b), f in _an_bk_packed(n1, m2, q, K)]
+            else:
+                terms = (((m1 + m2, n1 + n2), c12),)
+            for key, c in terms:
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    half, mask = 1 << (K - 1), (1 << K) - 1
+    for key, v in out.items():
+        cs = []
+        while v:
+            cs.append(((v + half) & mask) - half)
+            v = (v - cs[-1]) >> K
+        out[key] = RationalFunction(IntPoly(cs), _P_ONE, _raw=True)
+    return out
+
+
+def _pack(cs, K: int) -> int:
+    """The polynomial with coefficients cs (lowest first) at q = 2^K."""
+    return sum(c << K * i for i, c in enumerate(cs))
+
+
+@lru_cache(maxsize=None)
+def _an_bk_norm(n: int, k: int, q: QValue) -> int:
+    """Largest l1 norm of a coefficient of ``_an_bk_expansion(n, k, q)``, all
+    in Z[q] at symbolic q: the expansion multiplies only by q^b and {b}_q."""
+    return max(sum(map(abs, f.num.coeffs)) for _, f in _an_bk_expansion(n, k, q))
+
+
+@lru_cache(maxsize=None)
+def _an_bk_packed(n: int, k: int, q: QValue, K: int):
+    """``_an_bk_expansion(n, k, q)`` with each coefficient packed at q = 2^K."""
+    return tuple((key, _pack(f.num.coeffs, K)) for key, f in _an_bk_expansion(n, k, q))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The batch CLI: suites, reports, exit codes, determinism."""
 
+import decimal
 import json
+import sys
 
 import pytest
 
@@ -317,3 +319,23 @@ def test_cli_eval_refuses_deep_input_with_a_clean_error(capsys):
 def test_cli_eval_names_the_end_of_input(capsys):
     assert main(["eval", "<BA"]) == 2
     assert capsys.readouterr().err == "error: expected '>', found end of input (at position 3)\n"
+
+
+def test_cli_eval_runs_long_flat_chains(capsys):
+    # a flat + or * chain is folded in a loop; only real nesting counts
+    # against the depth limit
+    for op, normal in (("+", "5000 * A"), ("*", "A^5000")):
+        assert main(["eval", "--q=2", op.join(["A"] * 5000)]) == 0
+        captured = capsys.readouterr()
+        assert "normal form:  %s\n" % normal in captured.out
+        assert captured.err == ""
+
+
+def test_cli_eval_prints_every_digit_of_a_big_integer(capsys):
+    # the 4,516 digits, computed without converting a Python int to str
+    digits = str(decimal.Context(prec=5000).power(decimal.Decimal(2), 15000))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["eval", "--q=2", "2^15000"]) == 0
+    assert "normal form:  %s\n" % digits in capsys.readouterr().out
+    # the digit limit is lifted only for the call
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

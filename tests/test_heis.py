@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qheis.coeff import (
     IntPoly,
@@ -21,6 +23,8 @@ from qheis.heis import (
     RIGHTMOST,
     NormalElement,
     QMismatchError,
+    _an_bk_expansion,
+    _packed_product,
     _word_normal_form,
     adad_check,
     anbn_expand,
@@ -198,6 +202,91 @@ def test_product_matches_rewriter_on_pure_monomials(q):
     for _ in range(60):
         x, y = operand(), operand()
         assert x * y == normal_form(embed(x) * embed(y), q)
+
+
+def schoolbook_product(x, y):
+    """Reference for the PBW product: the term-by-term loop over Q(q)
+    coefficients that served every q before symbolic products were packed."""
+    q = x.q
+    out = {}
+    for (m1, n1), c1 in x.terms.items():
+        for (m2, n2), c2 in y.terms.items():
+            c12 = c1 * c2
+            if n1 and m2:
+                terms = [((m1 + a, b + n2), c12 * f) for (a, b), f in _an_bk_expansion(n1, m2, q)]
+            else:
+                terms = (((m1 + m2, n1 + n2), c12),)
+            for key, c in terms:
+                acc = out.get(key)
+                s = c if acc is None else acc + c
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return NormalElement(q, out, _raw=True)
+
+
+def assert_same_product(x, y):
+    want = list(schoolbook_product(x, y).terms.items())
+    # same terms in the same order, so every later loop over them agrees too;
+    # small products skip packing, so the packed product is also called itself
+    assert list((x * y).terms.items()) == want, (x, y)
+    assert list(_packed_product(x.terms, y.terms, SYM).items()) == want, (x, y)
+
+
+# integers next to each power of two, where a packing too narrow by one bit
+# would read a coefficient wrong
+EDGES = sorted({s * (2**j + d) for j in range(80) for d in (-1, 0) for s in (1, -1)} - {0})
+int_coeffs = st.one_of(st.integers(-9, 9), st.sampled_from(EDGES))
+z_poly = st.lists(int_coeffs, min_size=1, max_size=5).map(lambda cs: RationalFunction(IntPoly(cs)))
+z_elements = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), z_poly, max_size=4).map(
+        lambda terms: NormalElement(SYM, terms)
+    ),
+    # c B^m times d B^m' is c d B^(m+m'), whose |c d| is the l1 bound itself
+    st.builds(lambda m, c: mono(m, 0, c=rf_int(c)), st.integers(0, 3), st.sampled_from(EDGES)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_elements, z_elements)
+def test_packed_product_matches_schoolbook(x, y):
+    assert_same_product(x, y)
+
+
+def test_packed_product_named_cases():
+    zero = NormalElement.zero(SYM)
+    x = mono(3, 5, c=RationalFunction(IntPoly([-7, 0, 2])))
+    assert_same_product(x, zero)
+    assert_same_product(zero, x)
+    assert (x * zero).is_zero() and (zero * x).is_zero()
+    # (A + 1)(B - 1) = q BA - A + B: the I of AB cancels against 1 * (-1)
+    a1, b1 = mono(0, 1) + mono(0, 0), mono(1, 0) - mono(0, 0)
+    assert a1 * b1 == mono(1, 1, c=RF_Q) - mono(0, 1) + mono(1, 0)
+    assert_same_product(a1, b1)
+    # the I cancels to 0 and is dropped, then A^2 B^2 brings it back: it
+    # now follows the keys that 1 * B^2 and A^2 * (-1) added after the drop
+    x, y = a1 + mono(0, 2), b1 + mono(2, 0)
+    keys = list((x * y).terms)
+    assert keys.index((0, 0)) > max(keys.index((2, 0)), keys.index((0, 2)))
+    assert_same_product(x, y)
+    # coefficients at the l1 bound: c A * d B = cd q BA + cd I, with
+    # |x|_1 |y|_1 max|f|_1 = |cd|
+    for c in (1, -1, 3, -3):
+        for d in EDGES:
+            assert_same_product(mono(0, 1, c=rf_int(c)), mono(1, 0, c=rf_int(d)))
+            assert_same_product(mono(0, 0, c=rf_int(c)), mono(2, 0, c=rf_int(d)))
+    # large expansion indices
+    assert_same_product(mono(0, 14) - mono(2, 3), mono(13, 1, c=rf_int(-(2**40))) + mono(0, 0))
+
+
+def test_non_unit_denominator_takes_the_schoolbook_path():
+    # A^2 / (q - 1) + A, times three terms: enough pairs to try packing
+    x = mono(0, 2, c=RationalFunction(IntPoly([1]), IntPoly([-1, 1]))) + mono(0, 1)
+    y = mono(3, 0) + mono(1, 1) + mono(0, 0, c=rf_int(5))
+    for a, b in ((x, y), (y, x)):
+        assert _packed_product(a.terms, b.terms, SYM) is None
+        assert list((a * b).terms.items()) == list(schoolbook_product(a, b).terms.items())
 
 
 # -- reordering formulas ---------------------------------------------------------
