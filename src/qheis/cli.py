@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from .coeff import QValue
@@ -65,6 +66,7 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
+@lru_cache(maxsize=None)  # built once per process: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qheis",

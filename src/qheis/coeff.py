@@ -655,15 +655,3 @@ def gauss_polynomial(n: int, x, z: RationalFunction):
         term = (x**i).scale(c)
         total = term if total is None else total + term
     return total
-
-
-@lru_cache(maxsize=None)
-def _q_int_symbolic(n: int) -> RationalFunction:
-    return q_int(n, RF_Q)
-
-
-def q_int_at(n: int, q: QValue) -> RationalFunction:
-    """{n}_q for the given q (cached in the symbolic case)."""
-    if q.is_symbolic:
-        return _q_int_symbolic(n)
-    return q_int(n, q.scalar())

@@ -33,7 +33,7 @@ from .heis import (
     grade,
     to_lie_power_basis,
 )
-from .lie import membership_generic, membership_zero
+from .lie import in_lie_span, membership_zero
 from .words import is_regular
 
 
@@ -405,5 +405,5 @@ def eval_expr(e: Expression, q: QValue) -> EvalResult:
         mode = "degenerate"
     else:
         mode = "generic"
-        membership = membership_generic(nf)
+        membership = in_lie_span(lie_coords)
     return EvalResult(e, q, nf, graded, lie_coords, membership, mode)

@@ -144,8 +144,8 @@ class NormalElement:
     def __pow__(self, n: int) -> "NormalElement":
         if n < 0:
             raise ValueError("no negative powers in H(q)")
-        result = NormalElement.one(self.q)
-        for _ in range(n):
+        result = self if n else NormalElement.one(self.q)
+        for _ in range(n - 1):
             result = result * self
         return result
 

@@ -30,6 +30,7 @@ from .coeff import (
 )
 from .heis import (
     DegenerateQError,
+    LiePowerCoords,
     NormalElement,
     bracketed_word,
     comm_power,
@@ -200,22 +201,27 @@ def gen_basis_coords(x: NormalElement) -> Dict[BasisKey, RationalFunction]:
     return out
 
 
-def membership_generic(x: NormalElement) -> bool:
-    """Whether x lies in L(q), for q nonzero and not 0, 1 or -1.
+def in_lie_span(coords: LiePowerCoords) -> bool:
+    """Whether the element with these [A,B]-power coordinates lies in L(q),
+    for q not 0, 1 or -1.
 
     By the basis theorem the complement of L(q) in H(q) is spanned by I
     and the pure powers A^k, B^l (k, l >= 2), so membership is the
     vanishing of those coordinates.
     """
-    if x.q.is_degenerate:
-        raise DegenerateQError(
-            "membership_generic requires |q| not in {0, 1}, got q = %s" % x.q
-        )
-    coords = to_lie_power_basis(x)
     for (d, k), c in coords.coords.items():
         if k == 0 and (d == 0 or abs(d) >= 2) and not c.is_zero():
             return False
     return True
+
+
+def membership_generic(x: NormalElement) -> bool:
+    """Whether x lies in L(q), for q nonzero and not 0, 1 or -1."""
+    if x.q.is_degenerate:
+        raise DegenerateQError(
+            "membership_generic requires |q| not in {0, 1}, got q = %s" % x.q
+        )
+    return in_lie_span(to_lie_power_basis(x))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qheis.cli import _check_writable, main
+from qheis.cli import _build_parser, _check_writable, main
 from qheis.coeff import QValue
 from qheis.lie import KNOWN_DISCREPANCIES, table1_cells
 from qheis.reports import Report
@@ -339,3 +339,41 @@ def test_cli_eval_prints_every_digit_of_a_big_integer(capsys):
     assert "normal form:  %s\n" % digits in capsys.readouterr().out
     # the digit limit is lifted only for the call
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def first_call(argv):
+        _build_parser.cache_clear()
+        return call(argv)
+
+    verify = ["verify", "--suite", "table1", "--q=-1/3", "--quiet", "--json"]
+    first_json = tmp_path / "first.json"
+    want_verify = first_call(verify + [str(first_json)])
+    want_eval = first_call(["eval", "--q=2", "A*B - B^2"])
+    want_minus = first_call(["eval", "-B"])
+    want_minus_q = first_call(["eval", "--q", "-1/3", "-B"])
+
+    assert want_verify[0] == 1  # the printed typo cells of table1
+    _build_parser.cache_clear()
+    # --bound appends to a list: a later call without it gets the defaults
+    bounded = call(verify[:-1] + ["--bound", "idx=1"])
+    assert bounded[0] == 1 and bounded[1] != want_verify[1]
+    later_json = tmp_path / "later.json"
+    assert call(verify + [str(later_json)]) == want_verify
+    assert later_json.read_text() == first_json.read_text()
+    # a usage error leaves nothing behind
+    assert call(["eval", "--q"])[0] == 2
+    assert call(["eval", "--q=2", "A*B - B^2"]) == want_eval
+    # neither does --help, nor the argv rewriting of a leading '-'
+    assert call(["eval", "--help"])[0] == 0
+    assert call(["eval", "-B"]) == want_minus
+    assert call(["eval", "--q", "-1/3", "-B"]) == want_minus_q
+    assert _build_parser.cache_info().misses == 1

@@ -28,7 +28,8 @@ from qheis.expr import (
     pretty,
 )
 from qheis.freealg import FreeElement, commutator as f_commutator, eval_monomial
-from qheis.heis import comm_power, nf_word, normal_form
+from qheis.heis import comm_power, nf_word, normal_form, to_lie_power_basis
+from qheis.lie import membership_generic
 from qheis.words import bracketing
 
 SYM = QValue()
@@ -300,3 +301,19 @@ def test_eval_matches_free_algebra_reference(ast):
         want = _outcome(lambda: normal_form(free_eval(ast, q), q))
         got = _outcome(lambda: eval_expr(ast, q).normal)
         assert got == want, (pretty(ast), str(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_eval_strategy())
+def test_eval_reuses_its_lie_coordinates_for_membership(ast):
+    for q in (SYM, QValue.rational(2), QValue.parse("-1/3"), QValue.rational(-1)):
+        try:
+            result = eval_expr(ast, q)
+        except EvalError:
+            continue
+        nf = result.normal
+        assert result.lie_coords.coords == to_lie_power_basis(nf).coords
+        if q.is_degenerate:
+            assert result.membership is None
+        else:
+            assert result.membership == membership_generic(nf)
