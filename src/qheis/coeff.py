@@ -615,13 +615,13 @@ def q_factorial(n: int, z: RationalFunction) -> RationalFunction:
 
 @lru_cache(maxsize=None)
 def _gauss_binomial_poly(n: int, i: int) -> IntPoly:
-    """The Gaussian binomial (n choose i)_q as a polynomial in q."""
-    total = RF_ONE
-    for l in range(1, i + 1):
-        total = total * q_int(n - i + l, RF_Q) / q_int(l, RF_Q)
-    if total.den.coeffs != (1,):
-        raise AssertionError("Gaussian binomial did not reduce to a polynomial")
-    return total.num
+    """The Gaussian binomial (n choose i)_q as a polynomial in q, by the rule
+    (m j)_q = (m-1 j-1)_q + q^j (m-1 j)_q; col[t] is (j+t j)_q after step j."""
+    col = [_P_ONE] * (n - i + 1)
+    for j in range(1, i + 1):
+        for t in range(1, n - i + 1):
+            col[t] = col[t] + col[t - 1].shift(j)
+    return col[-1]
 
 
 def q_binomial(n: int, i: int, z: RationalFunction) -> RationalFunction:

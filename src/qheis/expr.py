@@ -271,16 +271,12 @@ def parse(text: str) -> Expression:
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _prec(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, Mul):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+_PREC = {Add: _PREC_ADD, Sub: _PREC_ADD, Mul: _PREC_MUL, Neg: _PREC_NEG, Pow: _PREC_POW}
+
+
+def _wrap(child: Expression, minimum: int, s: Optional[str] = None) -> str:
+    s = pretty(child) if s is None else s
+    return "(%s)" % s if _PREC.get(type(child), _PREC_ATOM) < minimum else s
 
 
 _CHAIN = (Add, Sub, Mul, Pow)
@@ -289,22 +285,21 @@ _CHAIN = (Add, Sub, Mul, Pow)
 def _left_spine(e: Expression):
     """(the leftmost operand, the + - * ^ nodes above it, innermost first),
     found in a loop: only real nesting, limited to MAX_DEPTH, recurses."""
-    spine = []
-    while isinstance(e, _CHAIN):
-        spine.append(e)
-        e = e.base if isinstance(e, Pow) else e.left
+    leaf = e.base if isinstance(e, Pow) else e.left
+    if not isinstance(leaf, _CHAIN):  # two operands, the common case: no list
+        return leaf, (e,)
+    spine = [e]
+    while isinstance(leaf, _CHAIN):
+        spine.append(leaf)
+        leaf = leaf.base if isinstance(leaf, Pow) else leaf.left
     spine.reverse()
-    return e, spine
+    return leaf, spine
 
 
 _INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD), Mul: ("*", _PREC_MUL)}
 
 
 def pretty(e: Expression) -> str:
-    def wrap(child: Expression, minimum: int, s: Optional[str] = None) -> str:
-        s = pretty(child) if s is None else s
-        return "(%s)" % s if _prec(child) < minimum else s
-
     if isinstance(e, Letter):
         return e.name
     if isinstance(e, Ident):
@@ -314,16 +309,16 @@ def pretty(e: Expression) -> str:
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, Neg):
-        return "-%s" % wrap(e.arg, _PREC_NEG)
+        return "-%s" % _wrap(e.arg, _PREC_NEG)
     if isinstance(e, _CHAIN):
         leaf, spine = _left_spine(e)
         s = pretty(leaf)
         for node in spine:
             if isinstance(node, Pow):
-                s = "%s^%d" % (wrap(leaf, _PREC_ATOM, s), node.exponent)
+                s = "%s^%d" % (_wrap(leaf, _PREC_ATOM, s), node.exponent)
             else:
                 op, prec = _INFIX[type(node)]
-                s = wrap(leaf, prec, s) + op + wrap(node.right, prec + 1)
+                s = _wrap(leaf, prec, s) + op + _wrap(node.right, prec + 1)
             leaf = node
         return s
     if isinstance(e, Commutator):

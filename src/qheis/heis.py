@@ -8,6 +8,7 @@ AB -> q BA + I.  All coefficients are exact elements of Q(q).
 At symbolic q, a PBW product of four or more term pairs with every
 coefficient in Z[q] runs on ints: each polynomial is packed once into its
 value at q = 2^K (Kronecker substitution, K from a proven l1-norm bound).
+`lincomb` sums linear combinations sum c_i x_i packed the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .coeff import (
     IntPoly,
     QValue,
     RationalFunction,
+    _q_q1_poly,
+    _split_q_q1,
     binom2,
     gauss_polynomial,
     q_binomial,
@@ -239,7 +242,7 @@ def _packed_product(xt, yt, q: QValue):
     bound = max((_an_bk_norm(n, m, q) for n in ns for m in ms), default=1)
     for t in (xt, yt):
         bound *= sum(sum(map(abs, c.num.coeffs)) for c in t.values())
-    K = (bound.bit_length() + 16) // 16 * 16
+    K = _width(bound)
     xp = [(key, _pack(c.num.coeffs, K)) for key, c in xt.items()]
     yp = [(key, _pack(c.num.coeffs, K)) for key, c in yt.items()]
     out: Dict[MonoKey, int] = {}
@@ -256,19 +259,58 @@ def _packed_product(xt, yt, q: QValue):
                     out[key] = s
                 else:
                     out.pop(key, None)
-    half, mask = 1 << (K - 1), (1 << K) - 1
     for key, v in out.items():
-        cs = []
-        while v:
-            cs.append(((v + half) & mask) - half)
-            v = (v - cs[-1]) >> K
-        out[key] = RationalFunction(IntPoly(cs), _P_ONE, _raw=True)
+        out[key] = RationalFunction(_unpack(v, K), _P_ONE, _raw=True)
     return out
+
+
+def _width(bound: int) -> int:
+    """K with 2^(K-1) > bound, a multiple of 16 to keep the packed forms few."""
+    return (bound.bit_length() + 16) // 16 * 16
 
 
 def _pack(cs, K: int) -> int:
     """The polynomial with coefficients cs (lowest first) at q = 2^K."""
     return sum(c << K * i for i, c in enumerate(cs))
+
+
+def _unpack(v: int, K: int) -> IntPoly:
+    """The polynomial packed as v at q = 2^K, from balanced base-2^K digits."""
+    half, mask = 1 << (K - 1), (1 << K) - 1
+    cs = []
+    while v:
+        cs.append(((v + half) & mask) - half)
+        v = (v - cs[-1]) >> K
+    return IntPoly(cs)
+
+
+def lincomb(pairs, q: QValue) -> NormalElement:
+    """The sum of c x over the (c, x) pairs.  At symbolic q, when every
+    coefficient of every x is in Z[q] and every c.den is q^a (q - 1)^b (as in
+    all of H(q)'s closed forms), the products are summed over the lcm D of the
+    c.den as ints packed at q = 2^K, and each key is unpacked and divided by D
+    once; K comes from the l1 bound sum |c.num D/c.den|_1 max |f|_1, as in
+    ``_packed_product``.  Any other input takes the scale-and-add loop."""
+    pairs = list(pairs)
+    if q.is_symbolic and all(
+        x.q == q and all(f.den.coeffs == (1,) for f in x.terms.values()) for _, x in pairs
+    ):
+        split = {d: _split_q_q1(d.coeffs, len(d.coeffs), len(d.coeffs)) for d in {c.den for c, _ in pairs}}
+        if all(tuple(r) == (1,) for r, _, _ in split.values()):
+            A = max((a for _, a, _ in split.values()), default=0)
+            B = max((b for _, _, b in split.values()), default=0)
+            nums = [c.num * _q_q1_poly(1, A - split[c.den][1], B - split[c.den][2]) for c, _ in pairs]
+            norm = max((sum(map(abs, f.num.coeffs)) for _, x in pairs for f in x.terms.values()), default=0)
+            K = _width(sum(sum(map(abs, n.coeffs)) for n in nums) * norm)
+            out: Dict[MonoKey, int] = {}
+            for n, (_, x) in zip(nums, pairs):
+                cn = _pack(n.coeffs, K)
+                for key, f in x.terms.items():
+                    out[key] = out.get(key, 0) + cn * _pack(f.num.coeffs, K)
+            den = _q_q1_poly(1, A, B)
+            out = {k: RationalFunction(_unpack(v, K), den, _raw=A == B == 0) for k, v in out.items() if v}
+            return NormalElement(q, out, _raw=True)
+    return sum((x.scale(c) for c, x in pairs), NormalElement.zero(q))
 
 
 @lru_cache(maxsize=None)
@@ -416,10 +458,7 @@ class GradedParts:
     parts: Dict[int, NormalElement]
 
     def total(self, q: QValue) -> NormalElement:
-        acc = NormalElement.zero(q)
-        for p in self.parts.values():
-            acc = acc + p
-        return acc
+        return lincomb(((RF_ONE, p) for p in self.parts.values()), q)
 
 
 def grade(x: NormalElement) -> GradedParts:
@@ -522,14 +561,11 @@ def bnan_expand(n: int, q: QValue) -> NormalElement:
         raise ValueError("bnan_expand needs n >= 0")
     _require_not_01(q, "bnan_expand")
     q_rf = q.scalar()
-    total = NormalElement.zero(q)
-    for i in range(n + 1):
-        c = q_binomial(n, i, q_rf) * q_rf ** binom2(n - i)
-        if (n - i) % 2:
-            c = -c
-        total = total + comm_power(i, q).scale(c)
     front = q.power(-binom2(n)) * (q_rf - RF_ONE) ** (-n)
-    return total.scale(front)
+    return lincomb((
+        (front * q_binomial(n, i, q_rf) * q_rf ** binom2(n - i) * (-1) ** (n - i), comm_power(i, q))
+        for i in range(n + 1)
+    ), q)
 
 
 def anbn_expand(n: int, q: QValue) -> NormalElement:
@@ -541,13 +577,11 @@ def anbn_expand(n: int, q: QValue) -> NormalElement:
         raise ValueError("anbn_expand needs n >= 0")
     _require_not_01(q, "anbn_expand")
     q_rf = q.scalar()
-    total = NormalElement.zero(q)
-    for i in range(n + 1):
-        c = q_binomial(n, i, q_rf) * q_rf ** binom2(i + 1)
-        if (n - i) % 2:
-            c = -c
-        total = total + comm_power(i, q).scale(c)
-    return total.scale((q_rf - RF_ONE) ** (-n))
+    front = (q_rf - RF_ONE) ** (-n)
+    return lincomb((
+        (front * q_binomial(n, i, q_rf) * q_rf ** binom2(i + 1) * (-1) ** (n - i), comm_power(i, q))
+        for i in range(n + 1)
+    ), q)
 
 
 def anbn_via_gauss(n: int, q: QValue) -> NormalElement:
@@ -646,10 +680,7 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
 def from_lie_power_basis(c: LiePowerCoords) -> NormalElement:
     """Inverse of to_lie_power_basis."""
     _require_not_01(c.q, "from_lie_power_basis")
-    acc = NormalElement.zero(c.q)
-    for (d, k), coeff in c.coords.items():
-        acc = acc + lie_power_vector(d, k, c.q).scale(coeff)
-    return acc
+    return lincomb(((x, lie_power_vector(d, k, c.q)) for (d, k), x in c.coords.items()), c.q)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .heis import (
     bracketed_word,
     comm_power,
     commutator,
+    lincomb,
     nf_word,
     to_lie_power_basis,
 )
@@ -169,10 +170,7 @@ def expand_gen_basis(v: BasisKey, q: QValue) -> NormalElement:
 
 def combo_expand(pairs: List[Tuple[RationalFunction, BasisKey]], q: QValue) -> NormalElement:
     """Expand a linear combination of basis vectors to PBW form."""
-    acc = NormalElement.zero(q)
-    for c, v in pairs:
-        acc = acc + expand_gen_basis(v, q).scale(c)
-    return acc
+    return lincomb(((c, expand_gen_basis(v, q)) for c, v in pairs), q)
 
 
 def gen_basis_coords(x: NormalElement) -> Dict[BasisKey, RationalFunction]:
@@ -303,14 +301,11 @@ def beta_closed_sides(
     elif kind == "G":
         if derived:
             front = q.power(-(k + 1)) * (q_rf - RF_ONE) ** (k + 1)
-            rhs = comm_power(k + 1, q).scale(front * q_int(k + 1, q_rf)) - comm_power(
-                k + 2, q
-            ).scale(front * q_int(k + 2, q_rf))
+            c1, c2 = front * q_int(k + 1, q_rf), front * q_int(k + 2, q_rf)
         else:
             front = q.power(-k) * (q_rf - RF_ONE) ** (k + 1)
-            rhs = comm_power(k + 1, q).scale(front * q_rf * q_int(k, q_rf)) - comm_power(
-                k + 2, q
-            ).scale(front * q_int(k + 1, q_rf))
+            c1, c2 = front * q_rf * q_int(k, q_rf), front * q_int(k + 1, q_rf)
+        rhs = lincomb([(c1, comm_power(k + 1, q)), (-c2, comm_power(k + 2, q))], q)
     else:
         raise ValueError("unknown beta kind %r" % kind)
     return lhs, rhs
@@ -328,17 +323,13 @@ def beta_gamma_sum_sides(
     _require_generic(q, "beta_gamma_sum_sides")
     q_rf = q.scalar()
     qm1_inv = (q_rf - RF_ONE).inv()
-    acc = NormalElement.zero(q)
-    for i in range(k + 1):
-        w = qm1_inv ** (i + 1)
-        if derived:
-            w = w * q_rf ** (i + 1)
-        acc = acc + beta_raw("G", i, 1, q).scale(w)
+    lhs = lincomb((
+        (qm1_inv ** (i + 1) * q_rf ** (i + 1 if derived else k), beta_raw("G", i, 1, q))
+        for i in range(k + 1)
+    ), q)
     if derived:
-        lhs = acc
         rhs = -bracketed_word("BA", q) - comm_power(k + 2, q).scale(q_int(k + 2, q_rf))
     else:
-        lhs = acc.scale(q_rf**k)
         rhs = comm_power(k + 2, q).scale(-q_int(k + 1, q_rf))
     return lhs, rhs
 
@@ -793,13 +784,10 @@ def brmn_closed(m: int, n: int) -> NormalElement:
     if m < 1 or n < 1:
         raise ValueError("brmn_closed needs m, n >= 1")
     h = min(m, n)
-    acc = NormalElement.zero(Q_ZERO)
-    for i in range(h):
-        c = RationalFunction.from_int((-1) ** i * math.comb(m, i))
-        acc = acc + NormalElement.monomial(m - i, n - i, Q_ZERO, c)
+    terms = {(m - i, n - i): RationalFunction.from_int((-1) ** i * math.comb(m, i)) for i in range(h)}
     tail = math.comb(m - 1, n - 1) if m > n else 1
-    c = RationalFunction.from_int((-1) ** h * tail)
-    return acc + NormalElement.monomial(m - h, n - h, Q_ZERO, c)
+    terms[(m - h, n - h)] = RationalFunction.from_int((-1) ** h * tail)
+    return NormalElement(Q_ZERO, terms, _raw=True)
 
 
 def brmn_printed(m: int, n: int) -> NormalElement:
@@ -807,11 +795,8 @@ def brmn_printed(m: int, n: int) -> NormalElement:
     if m < 1 or n < 1:
         raise ValueError("brmn_printed needs m, n >= 1")
     h = min(m, n)
-    acc = NormalElement.zero(Q_ZERO)
-    for i in range(h + 1):
-        c = RationalFunction.from_int((-1) ** i * math.comb(h, i))
-        acc = acc + NormalElement.monomial(m - i, n - i, Q_ZERO, c)
-    return acc
+    terms = {(m - i, n - i): RationalFunction.from_int((-1) ** i * math.comb(h, i)) for i in range(h + 1)}
+    return NormalElement(Q_ZERO, terms, _raw=True)
 
 
 def zero_basis_coords(x: NormalElement) -> Dict[object, RationalFunction]:

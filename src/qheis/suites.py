@@ -73,9 +73,10 @@ Work = List[Tuple[Tuple, Callable[[], Entry]]]
 
 
 def _compare(key: Tuple, lhs, rhs) -> Entry:
-    if lhs == rhs:
-        return Entry(key, PASS, lhs.render(), rhs.render())
-    return Entry(key, FAIL, lhs.render(), rhs.render(), (lhs - rhs).render())
+    text = lhs.render()
+    if lhs == rhs:  # equal canonical forms render alike
+        return Entry(key, PASS, text, text)
+    return Entry(key, FAIL, text, rhs.render(), (lhs - rhs).render())
 
 
 def _boolean(key: Tuple, ok: bool, lhs: str = "", rhs: str = "") -> Entry:

@@ -15,6 +15,7 @@ from qheis.coeff import (
     RF_Q,
     RF_ZERO,
     RationalFunction,
+    _gauss_binomial_poly,
     _normalize,
     _split_q_q1,
     binom2,
@@ -405,6 +406,21 @@ def test_q_binomial_against_box_partition_oracle():
         for i in range(0, n + 1):
             expected = RationalFunction(_box_partition_poly(i, n - i))
             assert q_binomial(n, i, RF_Q) == expected
+
+
+def quotient_gauss_binomial(n, i):
+    """The Gaussian binomial as the q-integer quotient it was first built
+    from: prod_l {n - i + l}_q / {l}_q over l = 1 .. i."""
+    total = RF_ONE
+    for l in range(1, i + 1):
+        total = total * q_int(n - i + l, RF_Q) / q_int(l, RF_Q)
+    return total
+
+
+def test_gauss_binomial_pascal_rule_matches_the_quotient_formula():
+    for n in range(13):
+        for i in range(n + 1):
+            assert RationalFunction(_gauss_binomial_poly(n, i)) == quotient_gauss_binomial(n, i)
 
 
 def test_q_binomial_explicit_values():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from qheis.heis import (
     fban_check,
     from_lie_power_basis,
     grade,
+    lincomb,
     nf_word,
     normal_form,
     reorder_check,
@@ -287,6 +289,72 @@ def test_non_unit_denominator_takes_the_schoolbook_path():
     for a, b in ((x, y), (y, x)):
         assert _packed_product(a.terms, b.terms, SYM) is None
         assert list((a * b).terms.items()) == list(schoolbook_product(a, b).terms.items())
+
+
+def reference_lincomb(pairs, q):
+    """Reference for ``lincomb``: the scale-and-add loop over Q(q)
+    coefficients that every linear combination used before packing."""
+    acc = NormalElement.zero(q)
+    for c, x in pairs:
+        acc = acc + x.scale(c)
+    return acc
+
+
+# denominators of the coefficients c: 1, q^a, (q - 1)^b, q^a (q - 1)^b, and two
+# that the packed path leaves to the loop, q + 1 and 2
+LINCOMB_DENS = [IntPoly(d) for d in ((1,), (0, 0, 1), (1, -2, 1), (0, -1, 1), (1, 1), (2,))]
+
+
+@st.composite
+def lincomb_pairs(draw):
+    """(c, x) pairs over Z[q] elements x, with coefficients at the l1 bound and
+    pairs that cancel another pair."""
+    if draw(st.booleans()):
+        # k equal pairs d B^m: the sum k d B^m sits on the l1 bound k |d|
+        c = RationalFunction(IntPoly([draw(st.sampled_from(EDGES))]), draw(st.sampled_from(LINCOMB_DENS)))
+        return [(c, mono(draw(st.integers(0, 3)), 0))] * draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = RationalFunction(draw(z_poly).num, draw(st.sampled_from(LINCOMB_DENS)))
+        x = draw(z_elements)
+        pairs.append((c, x))
+        if draw(st.booleans()):
+            pairs.append(draw(st.sampled_from([(-c, x), (c, -x)])))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lincomb_pairs())
+def test_lincomb_matches_the_scale_and_add_loop(pairs):
+    assert lincomb(pairs, SYM) == reference_lincomb(pairs, SYM)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lincomb_at_rational_q(data):
+    q = QValue(data.draw(st.sampled_from([Fraction(2), Fraction(-1, 3), Fraction(0)])))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).map(RationalFunction.from_fraction)
+    element = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=4)
+    pairs = data.draw(st.lists(st.tuples(coeffs, element.map(lambda t: NormalElement(q, t))), max_size=4))
+    assert lincomb(pairs, q) == reference_lincomb(pairs, q)
+
+
+def test_lincomb_named_cases():
+    assert lincomb([], SYM) == NormalElement.zero(SYM)
+    x = mono(2, 1) + mono(0, 0, c=RationalFunction(IntPoly([3, -1])))
+    assert lincomb([(RF_Q, x), (-RF_Q, x)], SYM).is_zero()
+    # the two pairs meet on B, where 2 d sits on the l1 bound 2 |d| max|f|_1
+    for d in EDGES:
+        for den in LINCOMB_DENS:
+            c = RationalFunction(IntPoly([d]), den)
+            pairs = [(c, mono(1, 0)), (c, mono(1, 0) - mono(0, 3))]
+            assert lincomb(pairs, SYM) == reference_lincomb(pairs, SYM), (d, den)
+    # a fractional coefficient of x takes the loop
+    y = mono(0, 1, c=RationalFunction(IntPoly([1]), IntPoly([-1, 1])))
+    pairs = [(RF_Q, y), (rf_int(2), x)]
+    assert lincomb(pairs, SYM) == reference_lincomb(pairs, SYM)
+    with pytest.raises(QMismatchError):
+        lincomb([(RF_ONE, mono(0, 1, QValue.rational(2)))], SYM)
 
 
 # -- reordering formulas ---------------------------------------------------------

@@ -1,4 +1,5 @@
-"""An independent oracle for the PBW product: the action of H(q) on Q[x].
+"""An independent oracle for the PBW product, the bracketed words and the
+[A,B]-power basis change: the action of H(q) on Q[x].
 
 A acts as the Jackson derivative D_q x^k = {k}_q x^(k-1) and B as
 multiplication by x, so AB - qBA = I holds.  For q = 0 and for q not a
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qheis.coeff import IntPoly, QValue, RationalFunction
-from qheis.heis import NormalElement
+from qheis.heis import NormalElement, bracketed_word, from_lie_power_basis, to_lie_power_basis
+from qheis.words import enumerate_regular, factorize
 
 SYM = QValue()
 POINTS = (Fraction(2), Fraction(-1, 3), Fraction(5, 3), Fraction(-3))
@@ -48,10 +50,15 @@ def act(x, q0, poly):
     return {k: v for k, v in out.items() if v}
 
 
+def a_degree(*xs):
+    """The largest A-degree among the elements xs."""
+    return max((n for x in xs for _, n in x.terms), default=0)
+
+
 def assert_product_acts_as_composition(x, y, q0):
     xy = x * y
     # the A-degree of x y is at most the sum of those of x and y
-    degree = sum(max((n for _, n in z.terms), default=0) for z in (x, y))
+    degree = a_degree(x) + a_degree(y)
     for j in range(degree + 1):
         assert act(xy, q0, {j: 1}) == act(x, q0, act(y, q0, {j: 1})), (x, y, q0, j)
 
@@ -93,3 +100,46 @@ def test_oracle_satisfies_the_defining_relation():
             ba = act(b, q0, act(a, q0, {j: 1}))
             diff = {k: ab.get(k, 0) - q0 * ba.get(k, 0) for k in set(ab) | set(ba)}
             assert {k: v for k, v in diff.items() if v} == {j: 1}
+
+
+def act_bracket(w, q0, poly):
+    """<w> applied to poly, with <w> = <g><h> - <h><g> at the canonical split
+    w = g h composed as operators on Q[x], never multiplied in H(q)."""
+    if len(w) == 1:
+        return act(NormalElement.monomial(int(w == "B"), int(w == "A"), SYM), q0, poly)
+    g, h = factorize(w)
+    gh = act_bracket(g, q0, act_bracket(h, q0, poly))
+    hg = act_bracket(h, q0, act_bracket(g, q0, poly))
+    out = {k: gh.get(k, 0) - hg.get(k, 0) for k in set(gh) | set(hg)}
+    return {k: v for k, v in out.items() if v}
+
+
+def test_bracketed_words_act_as_their_bracketings():
+    rational = [(QValue(q0), [q0]) for q0 in (Fraction(2), Fraction(-1, 3))]
+    for q, q0s in rational + [(SYM, POINTS)]:
+        for w in enumerate_regular(7):
+            x = bracketed_word(w, q)
+            for q0 in q0s:
+                for j in range(w.count("A") + 1):
+                    assert act(x, q0, {j: 1}) == act_bracket(w, q0, {j: 1}), (w, q, q0, j)
+
+
+def assert_basis_round_trip_acts_as_x(x, q0):
+    y = from_lie_power_basis(to_lie_power_basis(x))
+    for j in range(a_degree(x, y) + 1):
+        assert act(y, q0, {j: 1}) == act(x, q0, {j: 1}), (x, q0, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_round_trip_acts_as_x_at_rational_q(data):
+    q0 = data.draw(st.sampled_from([Fraction(2), Fraction(-1, 3)]))
+    x = data.draw(elements(QValue(q0), fractions.map(RationalFunction.from_fraction)))
+    assert_basis_round_trip_acts_as_x(x, q0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(SYM, q_coeffs))
+def test_symbolic_basis_round_trip_acts_as_x_at_rational_points(x):
+    for q0 in POINTS:
+        assert_basis_round_trip_acts_as_x(x, q0)
