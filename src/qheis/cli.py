@@ -3,6 +3,9 @@
     qheis verify --suite table1 --q symbolic --bound idx=3 [--json out.json] [--jobs N]
     qheis eval --q symbolic "A*B - q*B*A - I"
 
+`--jobs N` is accepted for compatibility and ignored: threads never beat a
+serial run of the pure-Python algebra.
+
 Exit status: 0 when nothing failed, 1 when any entry failed, 2 on usage
 errors (unknown suite, malformed q or bounds, an unwritable --json path,
 expression syntax errors, too deep or too long input, division by zero).
@@ -81,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bound", action="append", metavar="NAME=VALUE", help="override a suite bound"
     )
     verify.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    verify.add_argument(
+        "--jobs", type=int, default=1, metavar="N", help="accepted and ignored; suites run serially"
+    )
     verify.add_argument(
         "--quiet", action="store_true", help="print only the summary line"
     )
@@ -96,12 +101,7 @@ def _cmd_verify(args) -> int:
     try:
         q = QValue.parse(args.q)
         bounds = _parse_bounds(args.bound)
-        cfg = SuiteConfig(
-            suite=args.suite,
-            q=q,
-            bounds=bounds,
-            parallelism=max(1, args.jobs),
-        )
+        cfg = SuiteConfig(suite=args.suite, q=q, bounds=bounds)
         if args.json:
             _check_writable(args.json)
     except ValueError as exc:

@@ -226,8 +226,6 @@ def membership_generic(x: NormalElement) -> bool:
 # the beta generator families (iterated adjoints)
 # ---------------------------------------------------------------------------
 
-BETA_KINDS = ("A", "B", "G")
-
 
 def beta_word(kind: str, k: int, l: int = 1) -> str:
     """The regular word whose bracketing defines the generator."""
@@ -412,9 +410,6 @@ def bigcomrel_check(k: int, l: int, m: int, n: int, q: QValue = None) -> bool:
         q = QValue()
     lhs, rhs = bigcomrel_sides(k, l, m, n, q)
     return lhs == rhs
-
-
-ROW_FAMILIES = ("Abar", "A", "BrBA", "Gbar", "B", "Bbar")
 
 
 def table1_rhs(
@@ -720,17 +715,13 @@ def generic_basis_vectors(bound: int, q: QValue) -> List[Tuple[BasisKey, NormalE
     return out
 
 
-def independence_check(q_mode: str, degree_bound: int, q: QValue = None) -> bool:
-    """Full row rank of the claimed basis restricted to the support box."""
-    count, rank = independence_counts(q_mode, degree_bound, q)
-    return count == rank
-
-
 def independence_counts(q_mode: str, degree_bound: int, q: QValue = None):
+    """(vectors, rank) of the claimed basis restricted to the support box;
+    equal when the basis has full row rank there."""
     if q_mode == "generic":
         if q is None:
             q = QValue()
-        _require_generic(q, "independence_check")
+        _require_generic(q, "independence_counts")
         vecs = generic_basis_vectors(degree_bound, q)
     elif q_mode == "zero":
         q = QValue.rational(0)
@@ -760,9 +751,6 @@ class BrMN:
 
     def render(self) -> str:
         return "<B^%d A^%d>" % (self.m, self.n)
-
-
-ZeroBasisVector = Union[GenA, GenB, BrMN]
 
 
 def _require_zero(q: QValue, what: str) -> None:
