@@ -3,9 +3,11 @@ Q(q), and the q-analog combinatorics built on top of it.
 
 Everything here is immutable and exact.  A coefficient is always a
 ``RationalFunction``, so one scalar type serves the symbolic and the
-specialized modes alike.  At a rational q the coefficients are constants
-n/d; ``+`` and ``*`` of two constants take an integer path (cross-cancel
-before multiplying, one ``math.gcd`` after adding) and skip ``_normalize``.
+specialized modes alike.  At a rational q the coefficients the algebra
+produces are constants n/d, but an element may be given polynomial ones (the
+grad-basis-roundtrip suite draws them in Z[q] at every q).  ``+`` and ``*``
+of two constants take an integer path (cross-cancel before multiplying, one
+``math.gcd`` after adding) and skip ``_normalize``.
 
 Nearly every denominator met in H(q) is c*q^a*(q-1)^b: the q-integers
 {n}_q = (q^n - 1)/(q - 1) and the q^k prefactors of the commutation
@@ -527,6 +529,12 @@ class QValue:
     """
 
     value: Optional[Fraction] = None
+
+    def __post_init__(self):  # every cache lookup hashes q: a Fraction's hash is slow
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def rational(p, r=1) -> "QValue":

@@ -5,18 +5,22 @@ and the closed-form reordering identities the rest of the package checks.
 The defining relation is AB - qBA = I, used as the rewrite rule
 AB -> q BA + I.  All coefficients are exact elements of Q(q).
 
-At symbolic q, a PBW product of four or more term pairs with every
-coefficient in Z[q] runs on ints: each polynomial is packed once into its
-value at q = 2^K (Kronecker substitution, K from a proven l1-norm bound).
-`lincomb` sums linear combinations sum c_i x_i packed the same way.
+A PBW product of four or more term pairs, and `lincomb` (a sum of c_i x_i),
+run on ints when every coefficient fits the codec of q; anything else takes
+the loop over Q(q).  At symbolic q each coefficient must be in Z[q] and is
+packed once into its value at q = 2^K (Kronecker substitution, K from a
+proven l1-norm bound).  At rational q each must be a constant n/d, and a
+term map is put over one common denominator D (`_encode`); `lincomb` also
+needs two pairs or more, and `lie.zero_basis_coords` solves on the same ints.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Tuple
 
 from .coeff import (
@@ -25,6 +29,7 @@ from .coeff import (
     IntPoly,
     QValue,
     RationalFunction,
+    _const,
     _q_q1_poly,
     _split_q_q1,
     binom2,
@@ -117,9 +122,10 @@ class NormalElement:
 
     def __mul__(self, other: "NormalElement") -> "NormalElement":
         q = _require_q(self, other)
-        # at symbolic q with all coefficients in Z[q] (else None), multiply
-        # packed ints; below four term pairs the loop below is faster
-        if q.is_symbolic and len(self.terms) * len(other.terms) > 3:
+        # with all coefficients in Z[q] at symbolic q, or constant at rational
+        # q (else None), multiply ints; below four term pairs the loop below
+        # is faster
+        if len(self.terms) * len(other.terms) > 3:
             out = _packed_product(self.terms, other.terms, q)
             if out is not None:
                 return NormalElement(q, out, _raw=True)
@@ -228,40 +234,76 @@ def _an_bk_expansion(n: int, k: int, q: QValue):
     return tuple(sorted(state.items()))
 
 
-def _packed_product(xt, yt, q: QValue):
-    """The loop of ``NormalElement.__mul__`` on the term maps xt and yt, on
-    their Z[q] coefficients packed once at q = 2^K (a ring homomorphism to
-    Z) and unpacked once from balanced base-2^K digits; None if a
-    denominator is not 1.  No coefficient of a partial sum exceeds the l1
-    bound |x|_1 |y|_1 max |f|_1 (f over the expansions used) < 2^(K-1), so
-    the digits are exact and a packed sum is 0 only for the zero
-    polynomial.  K is a multiple of 16, to keep the packed expansions few."""
-    if any(c.den.coeffs != (1,) for t in (xt, yt) for c in t.values()):
+def _encode(terms):
+    """The constant-q codec: (D, {key: n (D/d)}) for a term map whose
+    coefficients are all constants n/d, D the lcm of the d; None if one is
+    not a constant."""
+    if any(len(c.num.coeffs) > 1 or len(c.den.coeffs) > 1 for c in terms.values()):
         return None
+    D = math.lcm(*(c.den.coeffs[0] for c in terms.values()))
+    return D, {key: sum(c.num.coeffs) * (D // c.den.coeffs[0]) for key, c in terms.items()}
+
+
+def _decode(D: int, out):
+    """{key: v/D} in lowest terms, with every zero sum dropped: one gcd and
+    one ``_const`` per key."""
+    res: Dict = {}
+    for key, v in out.items():
+        if v:
+            g = math.gcd(v, D)
+            res[key] = _const(v // g, D // g)
+    return res
+
+
+def _packed_product(xt, yt, q: QValue):
+    """The loop of ``NormalElement.__mul__`` on the term maps xt and yt, run
+    on ints with the codec of q and decoded once per key; None if a
+    coefficient does not fit that codec.  fp holds each packed
+    ``_an_bk_expansion(n, k, q)`` the product uses, and ``one`` is 1 packed
+    as those are.  A packed sum is 0 exactly when the sum it encodes is, so
+    the keys come out in the order of the loop over Q(q).
+
+    At symbolic q every coefficient must be in Z[q].  Each is packed once at
+    q = 2^K (a ring homomorphism to Z) and unpacked once from balanced
+    base-2^K digits.  No coefficient of a partial sum exceeds the l1 bound
+    |x|_1 |y|_1 max |f|_1 (f over the expansions used) < 2^(K-1), so the
+    digits are exact.  K is a multiple of 16, to keep the packed expansions
+    few.  At rational q every coefficient must be a constant: ``_encode``
+    puts xt and yt over their lcm denominators Dx and Dy, the expansions are
+    put over the lcm K of theirs, and each sum is an integer over Dx Dy K."""
     ns, ms = {n for _, n in xt if n}, {m for m, _ in yt if m}
-    bound = max((_an_bk_norm(n, m, q) for n in ns for m in ms), default=1)
-    for t in (xt, yt):
-        bound *= sum(sum(map(abs, c.num.coeffs)) for c in t.values())
-    K = _width(bound)
-    xp = [(key, _pack(c.num.coeffs, K)) for key, c in xt.items()]
-    yp = [(key, _pack(c.num.coeffs, K)) for key, c in yt.items()]
+    if q.is_symbolic:
+        if any(c.den.coeffs != (1,) for t in (xt, yt) for c in t.values()):
+            return None
+        bound = max((_an_bk_scale(n, m, q) for n in ns for m in ms), default=1)
+        for t in (xt, yt):
+            bound *= sum(sum(map(abs, c.num.coeffs)) for c in t.values())
+        K = _width(bound)
+        xp, yp = ({key: _pack(c.num.coeffs, K) for key, c in t.items()} for t in (xt, yt))
+        one, decode = 1, lambda out: {key: RationalFunction(_unpack(v, K), _P_ONE, _raw=True) for key, v in out.items()}
+    else:
+        ex, ey = _encode(xt), _encode(yt)
+        if ex is None or ey is None:
+            return None
+        (Dx, xp), (Dy, yp) = ex, ey
+        K = math.lcm(*(_an_bk_scale(n, m, q) for n in ns for m in ms))
+        one, decode = K, partial(_decode, Dx * Dy * K)
+    fp = {(n, m): _an_bk_packed(n, m, q, K) for n in ns for m in ms}
     out: Dict[MonoKey, int] = {}
-    for (m1, n1), c1 in xp:
-        for (m2, n2), c2 in yp:
+    for (m1, n1), c1 in xp.items():
+        for (m2, n2), c2 in yp.items():
             c12 = c1 * c2
             if n1 and m2:
-                terms = [((m1 + a, b + n2), c12 * f) for (a, b), f in _an_bk_packed(n1, m2, q, K)]
+                terms = [((m1 + a, b + n2), c12 * f) for (a, b), f in fp[n1, m2]]
             else:
-                terms = (((m1 + m2, n1 + n2), c12),)
+                terms = (((m1 + m2, n1 + n2), c12 * one),)
             for key, c in terms:
                 s = out.get(key, 0) + c
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-    for key, v in out.items():
-        out[key] = RationalFunction(_unpack(v, K), _P_ONE, _raw=True)
-    return out
+    return decode(out)
 
 
 def _width(bound: int) -> int:
@@ -284,46 +326,80 @@ def _unpack(v: int, K: int) -> IntPoly:
     return IntPoly(cs)
 
 
+def _lincomb_codec(pairs, q: QValue):
+    """(cs, xs, decode) for ``lincomb``: each c and each x.terms as ints, or
+    None when a coefficient does not fit the codec of q.
+
+    At symbolic q every coefficient of every x must be in Z[q] and every
+    c.den q^a (q - 1)^b, as in all of H(q)'s closed forms.  The c are brought
+    to the lcm D of the c.den and everything is packed at q = 2^K, K from the
+    l1 bound sum |c.num D/c.den|_1 max |f|_1, as in ``_packed_product``.  At
+    rational q every coefficient must be a constant, and there must be two
+    pairs or more (``scale`` is as fast for one).  ``_encode`` puts the c over
+    their lcm denominator Dc, each x over its own Dx, brought to the lcm L of
+    the Dx, so every sum is an integer over Dc L."""
+    if not q.is_symbolic:
+        if len(pairs) < 2:
+            return None
+        ec = _encode(dict(enumerate(c for c, _ in pairs)))
+        xs = [] if ec is None else [_encode(x.terms) for _, x in pairs]
+        if not xs or None in xs:
+            return None
+        Dc, cs = ec
+        L = math.lcm(*(D for D, _ in xs))
+        cs = [c * (L // D) for c, (D, _) in zip(cs.values(), xs)]
+        return cs, [xp for _, xp in xs], partial(_decode, Dc * L)
+    if not all(f.den.coeffs == (1,) for _, x in pairs for f in x.terms.values()):
+        return None
+    split = {d: _split_q_q1(d.coeffs, len(d.coeffs), len(d.coeffs)) for d in {c.den for c, _ in pairs}}
+    if not all(tuple(r) == (1,) for r, _, _ in split.values()):
+        return None
+    A = max((a for _, a, _ in split.values()), default=0)
+    B = max((b for _, _, b in split.values()), default=0)
+    nums = [c.num * _q_q1_poly(1, A - split[c.den][1], B - split[c.den][2]) for c, _ in pairs]
+    norm = max((sum(map(abs, f.num.coeffs)) for _, x in pairs for f in x.terms.values()), default=0)
+    K = _width(sum(sum(map(abs, n.coeffs)) for n in nums) * norm)
+    xs = [{key: _pack(f.num.coeffs, K) for key, f in x.terms.items()} for _, x in pairs]
+    den = _q_q1_poly(1, A, B)
+    decode = lambda out: {k: RationalFunction(_unpack(v, K), den, _raw=A == B == 0) for k, v in out.items() if v}
+    return [_pack(n.coeffs, K) for n in nums], xs, decode
+
+
 def lincomb(pairs, q: QValue) -> NormalElement:
-    """The sum of c x over the (c, x) pairs.  At symbolic q, when every
-    coefficient of every x is in Z[q] and every c.den is q^a (q - 1)^b (as in
-    all of H(q)'s closed forms), the products are summed over the lcm D of the
-    c.den as ints packed at q = 2^K, and each key is unpacked and divided by D
-    once; K comes from the l1 bound sum |c.num D/c.den|_1 max |f|_1, as in
-    ``_packed_product``.  Any other input takes the scale-and-add loop."""
+    """The sum of c x over the (c, x) pairs, summed on ints from
+    ``_lincomb_codec`` and decoded once per key; any input that codec does
+    not take goes through the scale-and-add loop."""
     pairs = list(pairs)
-    if q.is_symbolic and all(
-        x.q == q and all(f.den.coeffs == (1,) for f in x.terms.values()) for _, x in pairs
-    ):
-        split = {d: _split_q_q1(d.coeffs, len(d.coeffs), len(d.coeffs)) for d in {c.den for c, _ in pairs}}
-        if all(tuple(r) == (1,) for r, _, _ in split.values()):
-            A = max((a for _, a, _ in split.values()), default=0)
-            B = max((b for _, _, b in split.values()), default=0)
-            nums = [c.num * _q_q1_poly(1, A - split[c.den][1], B - split[c.den][2]) for c, _ in pairs]
-            norm = max((sum(map(abs, f.num.coeffs)) for _, x in pairs for f in x.terms.values()), default=0)
-            K = _width(sum(sum(map(abs, n.coeffs)) for n in nums) * norm)
-            out: Dict[MonoKey, int] = {}
-            for n, (_, x) in zip(nums, pairs):
-                cn = _pack(n.coeffs, K)
-                for key, f in x.terms.items():
-                    out[key] = out.get(key, 0) + cn * _pack(f.num.coeffs, K)
-            den = _q_q1_poly(1, A, B)
-            out = {k: RationalFunction(_unpack(v, K), den, _raw=A == B == 0) for k, v in out.items() if v}
-            return NormalElement(q, out, _raw=True)
-    return sum((x.scale(c) for c, x in pairs), NormalElement.zero(q))
+    coded = _lincomb_codec(pairs, q) if all(x.q == q for _, x in pairs) else None
+    if coded is None:
+        return sum((x.scale(c) for c, x in pairs), NormalElement.zero(q))
+    cs, xs, decode = coded
+    out: Dict[MonoKey, int] = {}
+    for cn, xp in zip(cs, xs):
+        for key, v in xp.items():
+            out[key] = out.get(key, 0) + cn * v
+    return NormalElement(q, decode(out), _raw=True)
 
 
 @lru_cache(maxsize=None)
-def _an_bk_norm(n: int, k: int, q: QValue) -> int:
-    """Largest l1 norm of a coefficient of ``_an_bk_expansion(n, k, q)``, all
-    in Z[q] at symbolic q: the expansion multiplies only by q^b and {b}_q."""
-    return max(sum(map(abs, f.num.coeffs)) for _, f in _an_bk_expansion(n, k, q))
+def _an_bk_scale(n: int, k: int, q: QValue) -> int:
+    """At symbolic q the largest l1 norm of a coefficient of
+    ``_an_bk_expansion(n, k, q)`` (all in Z[q]: it multiplies only by q^b
+    and {b}_q), at rational q the lcm of their denominators."""
+    fs = [f for _, f in _an_bk_expansion(n, k, q)]
+    if q.is_symbolic:
+        return max(sum(map(abs, f.num.coeffs)) for f in fs)
+    return math.lcm(*(f.den.coeffs[0] for f in fs))
 
 
 @lru_cache(maxsize=None)
 def _an_bk_packed(n: int, k: int, q: QValue, K: int):
-    """``_an_bk_expansion(n, k, q)`` with each coefficient packed at q = 2^K."""
-    return tuple((key, _pack(f.num.coeffs, K)) for key, f in _an_bk_expansion(n, k, q))
+    """``_an_bk_expansion(n, k, q)`` with each coefficient f packed: at
+    symbolic q as f(2^K), at rational q as the integer f K (K a multiple of
+    every denominator)."""
+    if q.is_symbolic:
+        return tuple((key, _pack(f.num.coeffs, K)) for key, f in _an_bk_expansion(n, k, q))
+    return tuple((key, sum(f.num.coeffs) * (K // f.den.coeffs[0])) for key, f in _an_bk_expansion(n, k, q))
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +605,6 @@ def reorder_sides(kind: str, n: int, q: QValue) -> Tuple[NormalElement, NormalEl
     return lhs, rhs
 
 
-def reorder_check(kind: str, n: int, q: QValue) -> bool:
-    lhs, rhs = reorder_sides(kind, n, q)
-    return lhs == rhs
-
-
 def shift_poly_sides(P: FreeElement, n: int, q: QValue):
     """Sides of P(B,A) [A,B]^n = [A,B]^n P(q^-n B, q^n A); needs q != 0."""
     if n < 0:
@@ -545,11 +616,6 @@ def shift_poly_sides(P: FreeElement, n: int, q: QValue):
     scaled = scale_letters(P, q.power(n), q.power(-n))
     rhs = c * normal_form(scaled, q)
     return lhs, rhs
-
-
-def shift_poly_check(P: FreeElement, n: int, q: QValue) -> bool:
-    lhs, rhs = shift_poly_sides(P, n, q)
-    return lhs == rhs
 
 
 def bnan_expand(n: int, q: QValue) -> NormalElement:
@@ -708,11 +774,6 @@ def adad_sides(m: int, n: int, q: QValue):
     return (lhs1, rhs1), (lhs2, rhs2)
 
 
-def adad_check(m: int, n: int, q: QValue) -> bool:
-    (l1, r1), (l2, r2) = adad_sides(m, n, q)
-    return l1 == r1 and l2 == r2
-
-
 def fban_sides(n: int, q: QValue):
     """<BA^n> and <B^nA> against their closed forms, n >= 1."""
     if n < 1:
@@ -728,8 +789,3 @@ def fban_sides(n: int, q: QValue):
         n - 1, 0, q, one_minus_q ** (n - 1)
     )
     return (lhs1, rhs1), (lhs2, rhs2)
-
-
-def fban_check(n: int, q: QValue) -> bool:
-    (l1, r1), (l2, r2) = fban_sides(n, q)
-    return l1 == r1 and l2 == r2

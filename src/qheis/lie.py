@@ -32,6 +32,8 @@ from .heis import (
     DegenerateQError,
     LiePowerCoords,
     NormalElement,
+    _decode,
+    _encode,
     bracketed_word,
     comm_power,
     commutator,
@@ -332,11 +334,6 @@ def beta_gamma_sum_sides(
     return lhs, rhs
 
 
-def beta_closed_check(kind: str, k: int, l: int = 1, q: QValue = None, derived: bool = False) -> bool:
-    lhs, rhs = beta_closed_sides(kind, k, l, q, derived)
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # Table 1 and the commutation propositions
 # ---------------------------------------------------------------------------
@@ -403,13 +400,6 @@ def bigcomrel_sides(k: int, l: int, m: int, n: int, q: QValue):
         expand_gen_basis(AlphaBar(k, l), q), expand_gen_basis(BetaBar(m, n), q)
     )
     return lhs, bigcomrel_rhs(k, l, m, n, q)
-
-
-def bigcomrel_check(k: int, l: int, m: int, n: int, q: QValue = None) -> bool:
-    if q is None:
-        q = QValue()
-    lhs, rhs = bigcomrel_sides(k, l, m, n, q)
-    return lhs == rhs
 
 
 def table1_rhs(
@@ -534,13 +524,6 @@ def table1_sides(row, col, q: QValue, derived: bool = False):
     return lhs, table1_rhs(row, col, q, derived)
 
 
-def table1_check(row, col, q: QValue = None, derived: bool = False) -> bool:
-    if q is None:
-        q = QValue()
-    lhs, rhs = table1_sides(row, col, q, derived)
-    return lhs == rhs
-
-
 def table1_cells(bound: int):
     """All printed cells of the commutation table with indices <= bound.
 
@@ -623,15 +606,6 @@ def table2_sides(row: Tuple[str, int], col: GenBasisVector, q: QValue):
                 (RF_ONE - q.power(m * (col.k + 2)), BetaBar(col.k + 1, m))
             )
     raise ValueError("not a table-2 cell")
-
-
-def table2_check(row, col, q: QValue = None) -> bool:
-    if q is None:
-        q = QValue()
-    kind, lhs, rhs = table2_sides(row, col, q)
-    if kind == "membership":
-        return membership_generic(lhs)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -793,54 +767,52 @@ def zero_basis_coords(x: NormalElement) -> Dict[object, RationalFunction]:
 
     Triangular solve: mixed PBW keys are cleared top-down through the
     closed bracketed-word expansions, then pure powers are rewritten via
-    A^n = B^2 A^(n+2) - <B^2 A^(n+2)> - 2<B A^(n+1)> and its mirror.
+    A^n = B^2 A^(n+2) - <B^2 A^(n+2)> - 2<B A^(n+1)> and its mirror.  With
+    constant coefficients it runs on the ints of ``_encode``, else on Q(q).
     """
     _require_zero(x.q, "zero_basis_coords")
-    coords: Dict[object, RationalFunction] = {}
+    enc = _encode(x.terms)
+    rem = dict(x.terms) if enc is None else enc[1]
+    coords: Dict = {}  # ints or RationalFunctions, as rem
 
-    def put(key, c):
-        acc = coords.get(key, RF_ZERO) + c
-        if acc.is_zero():
-            coords.pop(key, None)
+    def add(d, key, c):
+        acc = d.get(key, 0) + c
+        if acc == 0:
+            d.pop(key, None)
         else:
-            coords[key] = acc
+            d[key] = acc
 
-    rem = dict(x.terms)
     while True:
-        mixed = [k for k, c in rem.items() if k[0] >= 1 and k[1] >= 1 and not c.is_zero()]
+        mixed = [k for k, c in rem.items() if k[0] >= 1 and k[1] >= 1 and c != 0]
         if not mixed:
             break
         m, n = max(mixed, key=lambda k: (k[0] + k[1], k))
         c = rem[(m, n)]
-        put(BrMN(m, n), c)
+        add(coords, BrMN(m, n), c)
         for key, v in brmn_closed(m, n).terms.items():
-            acc = rem.get(key, RF_ZERO) - c * v
-            if acc.is_zero():
-                rem.pop(key, None)
-            else:
-                rem[key] = acc
+            add(rem, key, -c * v.num.coeffs[0])
     for (m, n), c in sorted(rem.items()):
-        if c.is_zero():
+        if c == 0:
             continue
         if (m, n) == (0, 0):
-            put(Unit(), c)
+            add(coords, Unit(), c)
         elif (m, n) == (0, 1):
-            put(GenA(), c)
+            add(coords, GenA(), c)
         elif (m, n) == (1, 0):
-            put(GenB(), c)
+            add(coords, GenB(), c)
         elif m == 0 and n >= 2:
             # A^n = B^2 A^(n+2) - <B^2 A^(n+2)> - 2 <B A^(n+1)>
-            put(PowerA(n), c)  # stands for B^2 A^(n+2) after the basis swap
-            put(BrMN(2, n + 2), -c)
-            put(BrMN(1, n + 1), -c - c)
+            add(coords, PowerA(n), c)  # stands for B^2 A^(n+2) after the basis swap
+            add(coords, BrMN(2, n + 2), -c)
+            add(coords, BrMN(1, n + 1), -c - c)
         elif n == 0 and m >= 2:
             # B^m = B^(m+2) A^2 - <B^(m+2) A^2> - (m+2) <B^(m+1) A>
-            put(PowerB(m), c)  # stands for B^(m+2) A^2 after the basis swap
-            put(BrMN(m + 2, 2), -c)
-            put(BrMN(m + 1, 1), c * RationalFunction.from_int(-(m + 2)))
+            add(coords, PowerB(m), c)  # stands for B^(m+2) A^2 after the basis swap
+            add(coords, BrMN(m + 2, 2), -c)
+            add(coords, BrMN(m + 1, 1), c * -(m + 2))
         else:
             raise AssertionError("unexpected residual key %r" % ((m, n),))
-    return coords
+    return coords if enc is None else _decode(enc[0], coords)
 
 
 def membership_zero(x: NormalElement) -> bool:

@@ -450,8 +450,9 @@ class SuiteConfig:
                     "suite %s has no bound %r (valid: %s)"
                     % (self.suite, k, ", ".join(sorted(merged)))
                 )
-            if v < 0:
-                raise ValueError("bound %s must be >= 0" % k)
+            low = spec.min_bounds.get(k, 0)
+            if v < low:
+                raise ValueError("bound %s must be >= %d" % (k, low))
             merged[k] = v
         self.bounds = merged
 
@@ -464,38 +465,33 @@ class SuiteSpec:
     name: str
     items: Callable[[QValue, Dict[str, int]], Items]
     default_bounds: Dict[str, int]
-    doc: str
     skip: Callable[[QValue], bool] = lambda q: False  # true: every key skipped-degenerate
+    min_bounds: Dict[str, int] = field(default_factory=dict)  # smallest allowed value, if not 0
 
 
 SUITES: Dict[str, SuiteSpec] = {
     s.name: s
     for s in [
-        SuiteSpec("qcomb", _qcomb, {"n": 8}, "q-integer/factorial/binomial identities"),
-        SuiteSpec("reorder", _reorder, {"n": 8}, "the four reordering formulas"),
-        SuiteSpec("shift", _shift, {"plen": 5, "n": 4}, "P(B,A)[A,B]^n shift identity",
-                  lambda q: q.is_zero),
-        SuiteSpec("bnan-anbn", _bnan_anbn, {"n": 8}, "B^nA^n / A^nB^n power-of-[A,B] expansions",
+        SuiteSpec("qcomb", _qcomb, {"n": 8}),
+        SuiteSpec("reorder", _reorder, {"n": 8}),
+        SuiteSpec("shift", _shift, {"plen": 5, "n": 4}, lambda q: q.is_zero),
+        SuiteSpec("bnan-anbn", _bnan_anbn, {"n": 8}, lambda q: q.is_zero or q.is_one),
+        SuiteSpec("adad", _adad, {"m": 8, "n": 8}),
+        SuiteSpec("fban", _fban, {"n": 8}),
+        SuiteSpec("beta-closed", _beta_closed, {"k": 4, "l": 4}, _degenerate),
+        SuiteSpec("table1", _table1, {"idx": 3}, _degenerate),
+        SuiteSpec("bigcomrel", _bigcomrel, {"k": 3, "l": 3, "m": 3, "n": 3}, _degenerate),
+        SuiteSpec("table2", _table2, {"mn": 4, "kl": 3}, _degenerate),
+        SuiteSpec("ideal-generic", _ideal_generic, {"exp": 4, "k": 3, "l": 3}, _degenerate),
+        SuiteSpec("nilpotent-generic", _nilpotent_generic, {"mn": 5}, _degenerate),
+        SuiteSpec("grad-basis-roundtrip", _grad_roundtrip, {"count": 200, "support": 8, "seed": 20250809},
                   lambda q: q.is_zero or q.is_one),
-        SuiteSpec("adad", _adad, {"m": 8, "n": 8}, "adjoint images of B^mA^n"),
-        SuiteSpec("fban", _fban, {"n": 8}, "<BA^n> and <B^nA> closed forms"),
-        SuiteSpec("beta-closed", _beta_closed, {"k": 4, "l": 4}, "beta generator closed forms", _degenerate),
-        SuiteSpec("table1", _table1, {"idx": 3}, "the commutation table of L(q)", _degenerate),
-        SuiteSpec("bigcomrel", _bigcomrel, {"k": 3, "l": 3, "m": 3, "n": 3}, "[Abar,Bbar] with c_i coefficients", _degenerate),
-        SuiteSpec("table2", _table2, {"mn": 4, "kl": 3}, "Lie-ideal table for A^n, B^m rows", _degenerate),
-        SuiteSpec("ideal-generic", _ideal_generic, {"exp": 4, "k": 3, "l": 3}, "ideal-lemma membership cells", _degenerate),
-        SuiteSpec("nilpotent-generic", _nilpotent_generic, {"mn": 5}, "[B^m,A^n] in L(q) with case spans", _degenerate),
-        SuiteSpec("grad-basis-roundtrip", _grad_roundtrip, {"count": 200, "support": 8, "seed": 20250809}, "[A,B]-power basis round-trips",
-                  lambda q: q.is_zero or q.is_one),
-        SuiteSpec("independence", _independence, {"bound": 6}, "rank checks for the claimed bases",
-                  lambda q: q.is_degenerate and not q.is_zero),
-        SuiteSpec("zero-basis", _zero_basis, {"mn": 6, "fer": 8, "idx": 7}, "q=0 expansions and eliminations",
-                  lambda q: not q.is_zero),
-        SuiteSpec("zero-ideal", _zero_ideal, {"mn": 6, "idx": 7, "cor": 6}, "q=0 bracket identities and memberships",
-                  lambda q: not q.is_zero),
-        SuiteSpec("zero-nilpotent", _zero_nilpotent, {"r": 4, "idx": 7}, "q=0 nilpotency witnesses",
-                  lambda q: not q.is_zero),
-        SuiteSpec("theta-lie", _theta_lie, {"len": 10}, "theta criterion and regular-word counts"),
+        SuiteSpec("independence", _independence, {"bound": 6}, lambda q: q.is_degenerate and not q.is_zero),
+        SuiteSpec("zero-basis", _zero_basis, {"mn": 6, "fer": 8, "idx": 7}, lambda q: not q.is_zero),
+        SuiteSpec("zero-ideal", _zero_ideal, {"mn": 6, "idx": 7, "cor": 6}, lambda q: not q.is_zero),
+        SuiteSpec("zero-nilpotent", _zero_nilpotent, {"r": 4, "idx": 7}, lambda q: not q.is_zero),
+        # regular words have at least one letter
+        SuiteSpec("theta-lie", _theta_lie, {"len": 10}, min_bounds={"len": 1}),
     ]
 }
 

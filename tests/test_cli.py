@@ -2,7 +2,9 @@
 
 import decimal
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,12 @@ def run(suite, q="symbolic", bounds=None):
 
 def test_suite_catalog_is_complete():
     assert set(SUITES) == EXPECTED_SUITES
+
+
+def test_readme_suite_table_names_every_suite_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = re.findall(r"^\| `([a-z0-9-]+)` \|", readme, flags=re.M)
+    assert sorted(names) == sorted(SUITES)
 
 
 def test_unknown_suite_rejected_at_config_time():
@@ -173,6 +181,22 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     code = main(["verify", "--suite", "reorder", "--bound", "wat"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_bound_at_zero_runs_or_is_named_in_a_usage_error(suite, capsys):
+    # no bound value the config accepts may end in a traceback; one it
+    # refuses gets a single error line that names it, and exit 2
+    for bound in SUITES[suite].default_bounds:
+        for q in ("symbolic", "0", "-1/3"):
+            code = main(["verify", "--suite", suite, "--q=" + q, "--bound", bound + "=0", "--quiet"])
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert not out and err == "error: bound %s must be >= 1\n" % bound
+            else:
+                assert code in (0, 1) and out.startswith("suite=%s " % suite) and not err
+    if suite == "theta-lie":  # regular words have at least one letter
+        assert code == 2
 
 
 def test_cli_rejects_unknown_suite_with_usage_error():

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,10 @@ from qheis.heis import (
     NormalElement,
     QMismatchError,
     _an_bk_expansion,
+    _lincomb_codec,
     _packed_product,
     _word_normal_form,
-    adad_check,
+    adad_sides,
     anbn_expand,
     anbn_via_gauss,
     bnan_expand,
@@ -35,15 +37,14 @@ from qheis.heis import (
     comm_power,
     commutator,
     embed,
-    fban_check,
+    fban_sides,
     from_lie_power_basis,
     grade,
     lincomb,
     nf_word,
     normal_form,
-    reorder_check,
     reorder_sides,
-    shift_poly_check,
+    shift_poly_sides,
     to_lie_power_basis,
 )
 from qheis.words import bracketing, enumerate_regular
@@ -291,6 +292,61 @@ def test_non_unit_denominator_takes_the_schoolbook_path():
         assert list((a * b).terms.items()) == list(schoolbook_product(a, b).terms.items())
 
 
+# rational q of every kind: generic, with a fractional q, and the degenerate
+# 0, 1, -1; the constant-q codec runs the same loop at each
+RATIONAL_QS = [QValue(Fraction(v)) for v in ("2", "-1/3", "1/2", "0", "1", "-1")]
+# constants with small denominators, and a few values repeated often enough
+# that sums of products cancel to 0
+constants = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 3), Fraction(-2)]),
+).map(RationalFunction.from_fraction)
+# a polynomial coefficient, which the constant-q codec leaves to the loop
+POLY = RationalFunction(IntPoly([1, -2]), IntPoly([3]))
+
+
+@st.composite
+def const_elements(draw, q, polynomial=False):
+    """An element at q with constant coefficients, possibly empty; with
+    ``polynomial``, one coefficient becomes POLY."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), constants, max_size=5))
+    if polynomial and terms:
+        terms[draw(st.sampled_from(sorted(terms)))] = POLY
+    return NormalElement(q, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constant_q_product_matches_schoolbook(data):
+    q = data.draw(st.sampled_from(RATIONAL_QS))
+    polynomial = data.draw(st.booleans())
+    x, y = data.draw(const_elements(q, polynomial)), data.draw(const_elements(q))
+    want = list(schoolbook_product(x, y).terms.items())
+    assert list((x * y).terms.items()) == want, (x, y)
+    packed = _packed_product(x.terms, y.terms, q)
+    if polynomial and x.terms:
+        assert packed is None
+    else:
+        assert list(packed.items()) == want, (x, y)
+
+
+def test_constant_q_product_named_cases():
+    for q in RATIONAL_QS:
+        zero = NormalElement.zero(q)
+        x = mono(3, 5, q, RationalFunction.from_fraction(Fraction(-7, 6)))
+        assert _packed_product(x.terms, zero.terms, q) == {} == _packed_product(zero.terms, x.terms, q)
+        # (A/3 + 1/2)(3B - 2) = q BA + 3B/2 - 2A/3: the I of AB cancels to 0
+        a1 = mono(0, 1, q, RationalFunction.from_fraction(Fraction(1, 3))) + mono(0, 0, q, RationalFunction.from_fraction(Fraction(1, 2)))
+        b1 = mono(1, 0, q, rf_int(3)) - mono(0, 0, q, rf_int(2))
+        got = _packed_product(a1.terms, b1.terms, q)
+        assert (0, 0) not in got
+        assert list(got.items()) == list(schoolbook_product(a1, b1).terms.items())
+        # a polynomial coefficient sends the whole product to the loop
+        y = a1 + mono(2, 2, q, POLY)
+        assert _packed_product(y.terms, b1.terms, q) is None
+        assert list((y * b1).terms.items()) == list(schoolbook_product(y, b1).terms.items())
+
+
 def reference_lincomb(pairs, q):
     """Reference for ``lincomb``: the scale-and-add loop over Q(q)
     coefficients that every linear combination used before packing."""
@@ -329,14 +385,27 @@ def test_lincomb_matches_the_scale_and_add_loop(pairs):
     assert lincomb(pairs, SYM) == reference_lincomb(pairs, SYM)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_lincomb_at_rational_q(data):
-    q = QValue(data.draw(st.sampled_from([Fraction(2), Fraction(-1, 3), Fraction(0)])))
-    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).map(RationalFunction.from_fraction)
-    element = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=4)
-    pairs = data.draw(st.lists(st.tuples(coeffs, element.map(lambda t: NormalElement(q, t))), max_size=4))
+    q = data.draw(st.sampled_from(RATIONAL_QS))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        c, x = data.draw(constants), data.draw(const_elements(q))
+        pairs.append((c, x))
+        if data.draw(st.booleans()):
+            pairs.append(data.draw(st.sampled_from([(-c, x), (c, -x)])))  # cancels
+    pairs = data.draw(st.permutations(pairs))
+    polynomial = pairs and data.draw(st.sampled_from([None, "c", "x"]))
+    if polynomial == "c":
+        pairs[0] = (POLY, pairs[0][1])
+    elif polynomial == "x":
+        pairs[0] = (pairs[0][0], pairs[0][1] + mono(4, 4, q, POLY))
     assert lincomb(pairs, q) == reference_lincomb(pairs, q)
+    if len(pairs) > 1:
+        # one pair is c x by ``scale``; two or more are encoded, unless a
+        # coefficient is a polynomial
+        assert (_lincomb_codec(pairs, q) is None) == bool(polynomial)
 
 
 def test_lincomb_named_cases():
@@ -363,7 +432,7 @@ def test_lincomb_named_cases():
 def test_reorder_all_kinds_symbolic():
     for kind in ("AB^n", "A^nB", "BA^n", "B^nA"):
         for n in range(1, 9):
-            assert reorder_check(kind, n, SYM)
+            assert eq(*reorder_sides(kind, n, SYM))
 
 
 def test_reorder_explicit_23_n2():
@@ -377,17 +446,17 @@ def test_reorder_explicit_23_n2():
 
 def test_reorder_inverse_forms_need_nonzero_q():
     with pytest.raises(DegenerateQError):
-        reorder_check("BA^n", 2, Q0)
+        eq(*reorder_sides("BA^n", 2, Q0))
     with pytest.raises(DegenerateQError):
-        reorder_check("B^nA", 2, Q0)
-    assert reorder_check("AB^n", 4, Q0)
-    assert reorder_check("A^nB", 4, Q0)
+        eq(*reorder_sides("B^nA", 2, Q0))
+    assert eq(*reorder_sides("AB^n", 4, Q0))
+    assert eq(*reorder_sides("A^nB", 4, Q0))
 
 
 def test_reorder_at_rational_q():
     q = QValue.rational(3, 2)
     for kind in ("AB^n", "A^nB", "BA^n", "B^nA"):
-        assert reorder_check(kind, 5, q)
+        assert eq(*reorder_sides(kind, 5, q))
 
 
 # -- grading -------------------------------------------------------------------
@@ -472,21 +541,21 @@ def test_expansions_reject_degenerate_q():
 
 def test_shift_specializations():
     # A [A,B] = q [A,B] A and B [A,B] = q^-1 [A,B] B
-    assert shift_poly_check(FREE_A, 1, SYM)
-    assert shift_poly_check(FREE_B, 1, SYM)
-    assert shift_poly_check(FreeElement.one(), 3, SYM)
+    assert eq(*shift_poly_sides(FREE_A, 1, SYM))
+    assert eq(*shift_poly_sides(FREE_B, 1, SYM))
+    assert eq(*shift_poly_sides(FreeElement.one(), 3, SYM))
 
 
 def test_shift_needs_nonzero_q():
     with pytest.raises(DegenerateQError):
-        shift_poly_check(FREE_A, 1, Q0)
+        eq(*shift_poly_sides(FREE_A, 1, Q0))
 
 
 def test_shift_on_polynomials_not_just_monomials():
     rng = random.Random(15)
     for _ in range(30):
         P = rand_free(rng, max_len=4)
-        assert shift_poly_check(P, rng.randrange(4), SYM)
+        assert eq(*shift_poly_sides(P, rng.randrange(4), SYM))
 
 
 # -- adjoint identities ------------------------------------------------------------
@@ -495,8 +564,8 @@ def test_shift_on_polynomials_not_just_monomials():
 def test_adad_identities():
     for m in range(6):
         for n in range(6):
-            assert adad_check(m, n, SYM)
-    assert adad_check(3, 3, QValue.rational(5, 3))
+            assert all(eq(*s) for s in adad_sides(m, n, SYM))
+    assert all(eq(*s) for s in adad_sides(3, 3, QValue.rational(5, 3)))
 
 
 def test_adad_vanishes_on_the_diagonal():
@@ -532,7 +601,7 @@ def test_bracketed_word_rejects_invalid_words():
 
 def test_fban_identities():
     for n in range(1, 9):
-        assert fban_check(n, SYM)
+        assert all(eq(*s) for s in fban_sides(n, SYM))
     assert bracketed_word("BA", SYM) == mono(1, 1, c=RF_ONE - RF_Q) - NormalElement.one(SYM)
 
 

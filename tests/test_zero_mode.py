@@ -3,10 +3,13 @@ Lie ideal, and the nilpotent quotient."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qheis.coeff import QValue, RationalFunction
+from qheis.coeff import RF_ZERO, IntPoly, QValue, RationalFunction
 from qheis.heis import (
     DegenerateQError,
     NormalElement,
@@ -233,6 +236,88 @@ def test_zero_basis_coords_reconstruct():
             terms[(rng.randrange(8), rng.randrange(8))] = rf_int(rng.randrange(-9, 10) or 1)
         x = NormalElement(Q0, terms)
         assert reconstruct(zero_basis_coords(x)) == x
+
+
+def reference_zero_basis_coords(x):
+    """Reference for ``zero_basis_coords``: the triangular solve on
+    RationalFunction coefficients that served every x before constant
+    coefficients were solved on ints."""
+    coords = {}
+
+    def put(key, c):
+        acc = coords.get(key, RF_ZERO) + c
+        if acc.is_zero():
+            coords.pop(key, None)
+        else:
+            coords[key] = acc
+
+    rem = dict(x.terms)
+    while True:
+        mixed = [k for k, c in rem.items() if k[0] >= 1 and k[1] >= 1 and not c.is_zero()]
+        if not mixed:
+            break
+        m, n = max(mixed, key=lambda k: (k[0] + k[1], k))
+        c = rem[(m, n)]
+        put(BrMN(m, n), c)
+        for key, v in brmn_closed(m, n).terms.items():
+            acc = rem.get(key, RF_ZERO) - c * v
+            if acc.is_zero():
+                rem.pop(key, None)
+            else:
+                rem[key] = acc
+    for (m, n), c in sorted(rem.items()):
+        if (m, n) == (0, 0):
+            put(Unit(), c)
+        elif (m, n) == (0, 1):
+            put(GenA(), c)
+        elif (m, n) == (1, 0):
+            put(GenB(), c)
+        elif m == 0:
+            put(PowerA(n), c)
+            put(BrMN(2, n + 2), -c)
+            put(BrMN(1, n + 1), -c - c)
+        else:
+            put(PowerB(m), c)
+            put(BrMN(m + 2, 2), -c)
+            put(BrMN(m + 1, 1), c * rf_int(-(m + 2)))
+    return coords
+
+
+# constants with small denominators, and values repeated often enough that
+# the solve cancels coordinates to 0; a polynomial coefficient (only
+# meaningful as an element of Q(q) before q = 0 is substituted) takes the
+# RationalFunction loop
+constants = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-2)]),
+).map(RationalFunction.from_fraction)
+POLY = RationalFunction(IntPoly([1, -2]), IntPoly([3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), constants, max_size=7),
+    st.booleans(),
+)
+def test_zero_basis_coords_matches_the_rational_function_solve(terms, polynomial):
+    if polynomial and terms:
+        terms[min(terms)] = POLY
+    x = NormalElement(Q0, terms)
+    got = zero_basis_coords(x)
+    # same coordinates in the same order
+    assert list(got.items()) == list(reference_zero_basis_coords(x).items())
+    assert reconstruct(got) == x
+
+
+def test_zero_basis_coords_named_cases():
+    assert zero_basis_coords(NormalElement.zero(Q0)) == {}
+    # <B A> = BA - I: the coordinate of I cancels, and 1/3 stays exact
+    third = RationalFunction.from_fraction(Fraction(1, 3))
+    x = mono(1, 1, third) - mono(0, 0, third)
+    assert zero_basis_coords(x) == {BrMN(1, 1): third}
+    # A^2 / 2 = (B^2 A^4 - <B^2 A^4> - 2 <B A^3>) / 2
+    half = RationalFunction.from_fraction(Fraction(1, 2))
+    assert zero_basis_coords(mono(0, 2, half)) == {PowerA(2): half, BrMN(2, 4): -half, BrMN(1, 3): rf_int(-1)}
 
 
 def test_zero_basis_coords_of_a_basis_vector_is_trivial():
