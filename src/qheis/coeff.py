@@ -389,6 +389,9 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)
+
     def is_one(self) -> bool:
         return self.num.coeffs == (1,) and self.den.coeffs == (1,)
 
@@ -510,6 +513,22 @@ class RationalFunction:
 RF_ZERO = RationalFunction.from_int(0)
 RF_ONE = RationalFunction.from_int(1)
 RF_Q = RationalFunction(_P_Q, _P_ONE, _raw=True)
+
+
+def add_terms(out: dict, pairs) -> dict:
+    """Add each (key, c) of pairs into the sparse map out and return out.
+    A key whose sum is 0 is deleted, so out never holds a zero value, and a
+    key that cancels and comes back re-enters at the end.  The values are
+    RationalFunctions or ints (the packed kernels of ``heis``)."""
+    get = out.get
+    for key, c in pairs:
+        s = get(key)
+        s = c if s is None else s + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
 def q_power(k: int) -> RationalFunction:

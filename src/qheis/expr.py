@@ -119,6 +119,8 @@ Expression = Union[
 # refused beyond these, since the parser and bracketed_word recurse as deep
 MAX_DEPTH = 100
 MAX_WORD = 200
+# and beyond this, since a power is evaluated by repeated multiplication
+MAX_EXPONENT = 20000
 
 _PUNCT = set("+-*^()[],<>")
 
@@ -217,6 +219,8 @@ class _Parser:
                 self.next()
                 sign = -1
             tok = self.expect("int")
+            if tok[1] > MAX_EXPONENT:
+                raise ParseError("exponent too large: %d, at most %d" % (tok[1], MAX_EXPONENT), tok[2])
             e = Pow(e, sign * tok[1])
         return e
 

@@ -6,12 +6,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from .coeff import RF_ONE, RationalFunction
+from .coeff import RF_ONE, RationalFunction, add_terms
 from .words import Leaf, LieMonomial, check_word, render_word
-
-
-def _clean(terms: Dict[str, RationalFunction]) -> Dict[str, RationalFunction]:
-    return {w: c for w, c in terms.items() if not c.is_zero()}
 
 
 class FreeElement:
@@ -22,7 +18,7 @@ class FreeElement:
     def __init__(self, terms: Dict[str, RationalFunction] = None, *, _raw=False):
         if terms is None:
             terms = {}
-        self.terms = terms if _raw else _clean(dict(terms))
+        self.terms = terms if _raw else add_terms({}, terms.items())
 
     # -- constructors ----------------------------------------------------
 
@@ -43,25 +39,12 @@ class FreeElement:
 
     @staticmethod
     def from_terms(pairs: Iterable[Tuple[str, RationalFunction]]) -> "FreeElement":
-        out: Dict[str, RationalFunction] = {}
-        for w, c in pairs:
-            check_word(w)
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-        return FreeElement(out)
+        return FreeElement(add_terms({}, ((check_word(w), c) for w, c in pairs)), _raw=True)
 
     # -- vector space ------------------------------------------------------
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return FreeElement(out, _raw=True)
+        return FreeElement(add_terms(dict(self.terms), other.terms.items()), _raw=True)
 
     def __neg__(self) -> "FreeElement":
         return FreeElement({w: -c for w, c in self.terms.items()}, _raw=True)
@@ -77,14 +60,8 @@ class FreeElement:
     # -- algebra -------------------------------------------------------------
 
     def __mul__(self, other: "FreeElement") -> "FreeElement":
-        out: Dict[str, RationalFunction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                acc = out.get(w)
-                out[w] = c if acc is None else acc + c
-        return FreeElement(out)
+        out = add_terms({}, ((w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()))
+        return FreeElement(out, _raw=True)
 
     def __pow__(self, n: int) -> "FreeElement":
         if n < 0:
@@ -142,13 +119,8 @@ def eval_monomial(m: LieMonomial) -> FreeElement:
 
 def theta(x: FreeElement) -> FreeElement:
     """Linear extension of W -> (-1)^|W| W-reversed; an anti-automorphism."""
-    out: Dict[str, RationalFunction] = {}
-    for w, c in x.terms.items():
-        rw = w[::-1]
-        rc = -c if len(w) % 2 else c
-        acc = out.get(rw)
-        out[rw] = rc if acc is None else acc + rc
-    return FreeElement(out)
+    out = add_terms({}, ((w[::-1], -c if len(w) % 2 else c) for w, c in x.terms.items()))
+    return FreeElement(out, _raw=True)
 
 
 def passes_lie_necessary(x: FreeElement) -> bool:

@@ -12,6 +12,8 @@ packed once into its value at q = 2^K (Kronecker substitution, K from a
 proven l1-norm bound).  At rational q each must be a constant n/d, and a
 term map is put over one common denominator D (`_encode`); `lincomb` also
 needs two pairs or more, and `lie.zero_basis_coords` solves on the same ints.
+Every term map, on ints or over Q(q), is summed by `coeff.add_terms`, which
+drops a key as soon as its sum is 0.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .coeff import (
     _const,
     _q_q1_poly,
     _split_q_q1,
+    add_terms,
     binom2,
     gauss_polynomial,
     q_binomial,
@@ -73,7 +76,7 @@ class NormalElement:
         self.q = q
         if terms is None:
             terms = {}
-        self.terms = terms if _raw else {k: c for k, c in terms.items() if not c.is_zero()}
+        self.terms = terms if _raw else add_terms({}, terms.items())
 
     # -- constructors --------------------------------------------------
 
@@ -97,15 +100,7 @@ class NormalElement:
 
     def __add__(self, other: "NormalElement") -> "NormalElement":
         q = _require_q(self, other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return NormalElement(q, out, _raw=True)
+        return NormalElement(q, add_terms(dict(self.terms), other.terms.items()), _raw=True)
 
     def __neg__(self) -> "NormalElement":
         return NormalElement(self.q, {k: -c for k, c in self.terms.items()}, _raw=True)
@@ -123,32 +118,14 @@ class NormalElement:
     def __mul__(self, other: "NormalElement") -> "NormalElement":
         q = _require_q(self, other)
         # with all coefficients in Z[q] at symbolic q, or constant at rational
-        # q (else None), multiply ints; below four term pairs the loop below
-        # is faster
+        # q (else None), multiply ints; below four term pairs the loop over
+        # Q(q) is faster
         if len(self.terms) * len(other.terms) > 3:
             out = _packed_product(self.terms, other.terms, q)
             if out is not None:
                 return NormalElement(q, out, _raw=True)
-        out: Dict[MonoKey, RationalFunction] = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                c12 = c1 * c2
-                if n1 and m2:
-                    terms = [
-                        ((m1 + a, b + n2), c12 * f)
-                        for (a, b), f in _an_bk_expansion(n1, m2, q)
-                    ]
-                else:
-                    # A^n1 B^m2 with n1 == 0 or m2 == 0 is already B^m2 A^n1
-                    terms = (((m1 + m2, n1 + n2), c12),)
-                for key, c in terms:
-                    acc = out.get(key)
-                    s = c if acc is None else acc + c
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return NormalElement(q, out, _raw=True)
+        fp = {(n, m): _an_bk_expansion(n, m, q) for n, m in _reorderings(self.terms, other.terms)}
+        return NormalElement(q, add_terms({}, _product_terms(self.terms, other.terms, fp)), _raw=True)
 
     def __pow__(self, n: int) -> "NormalElement":
         if n < 0:
@@ -166,12 +143,6 @@ class NormalElement:
     def coeff(self, m: int, n: int) -> RationalFunction:
         return self.terms.get((m, n), RF_ZERO)
 
-    def support_bound(self) -> int:
-        """Smallest D with all keys satisfying m, n <= D."""
-        if not self.terms:
-            return 0
-        return max(max(m, n) for m, n in self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NormalElement)
@@ -183,28 +154,32 @@ class NormalElement:
         return hash((self.q, frozenset(self.terms.items())))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m, n) in sorted(self.terms, key=lambda k: (k[0] - k[1], k[0])):
-            c = self.terms[(m, n)]
-            mono = []
-            if m:
-                mono.append("B" if m == 1 else "B^%d" % m)
-            if n:
-                mono.append("A" if n == 1 else "A^%d" % n)
-            word = " ".join(mono) if mono else "I"
-            cs = c.render()
-            if cs == "1" and mono:
-                parts.append(word)
-            else:
-                if "+" in cs or "- " in cs or "/" in cs:
-                    cs = "(%s)" % cs
-                parts.append("%s * %s" % (cs, word) if mono else cs)
-        return " + ".join(parts)
+        keys = sorted(self.terms, key=lambda k: (k[0] - k[1], k[0]))
+        return _render_terms((self.terms[m, n], _power("B", m) + _power("A", n)) for m, n in keys)
 
     def __repr__(self):
         return "NormalElement(q=%s, %s)" % (self.q, self.render())
+
+
+def _power(x: str, e: int):
+    """The factor x^e as a list of names: none for e <= 0."""
+    return [x if e == 1 else "%s^%d" % (x, e)] if e > 0 else []
+
+
+def _render_terms(terms) -> str:
+    """The (coefficient, factor names) pairs as "c * f1 f2 + ...", in the
+    given order: a coefficient 1 before a factor is left out, and one
+    containing "+", "- " or "/" is parenthesized; no pairs give "0"."""
+    parts = []
+    for c, names in terms:
+        cs = c.render()
+        if cs == "1" and names:
+            parts.append(" ".join(names))
+            continue
+        if "+" in cs or "- " in cs or "/" in cs:
+            cs = "(%s)" % cs
+        parts.append("%s * %s" % (cs, " ".join(names)) if names else cs)
+    return " + ".join(parts) or "0"
 
 
 @lru_cache(maxsize=None)
@@ -219,18 +194,9 @@ def _an_bk_expansion(n: int, k: int, q: QValue):
     for _ in range(k):
         nxt: Dict[MonoKey, RationalFunction] = {}
         for (a, b), c in state.items():
-            up = c * q_rf**b
-            if not up.is_zero():
-                key = (a + 1, b)
-                acc = nxt.get(key)
-                nxt[key] = up if acc is None else acc + up
-            if b > 0:
-                down = c * q_int(b, q_rf)
-                if not down.is_zero():
-                    key = (a, b - 1)
-                    acc = nxt.get(key)
-                    nxt[key] = down if acc is None else acc + down
-        state = {key: c for key, c in nxt.items() if not c.is_zero()}
+            # {0}_q = 0, so b = 0 adds nothing at (a, -1)
+            add_terms(nxt, (((a + 1, b), c * q_rf**b), ((a, b - 1), c * q_int(b, q_rf))))
+        state = nxt
     return tuple(sorted(state.items()))
 
 
@@ -245,23 +211,44 @@ def _encode(terms):
 
 
 def _decode(D: int, out):
-    """{key: v/D} in lowest terms, with every zero sum dropped: one gcd and
-    one ``_const`` per key."""
+    """{key: v/D} in lowest terms for a map out with no zero value: one gcd
+    and one ``_const`` per key."""
     res: Dict = {}
     for key, v in out.items():
-        if v:
-            g = math.gcd(v, D)
-            res[key] = _const(v // g, D // g)
+        g = math.gcd(v, D)
+        res[key] = _const(v // g, D // g)
     return res
 
 
+def _reorderings(xt, yt):
+    """Each (n, m), n, m >= 1, for which the product of the term maps xt and
+    yt reorders an A^n B^m."""
+    ms = {m for m, _ in yt if m}
+    return [(n, m) for n in {n for _, n in xt if n} for m in ms]
+
+
+def _product_terms(xt, yt, fp, one=None):
+    """The (key, c) terms of the product of the term maps xt and yt, where
+    fp[n, m] holds A^n B^m as ((a, b), f) pairs for each of
+    ``_reorderings(xt, yt)``.  one is 1 in the encoding of the f (the packed
+    1 at rational q), or None where that is 1 itself."""
+    for (m1, n1), c1 in xt.items():
+        for (m2, n2), c2 in yt.items():
+            c12 = c1 * c2
+            if n1 and m2:
+                for (a, b), f in fp[n1, m2]:
+                    yield (m1 + a, b + n2), c12 * f
+            else:
+                # A^n1 B^m2 with n1 == 0 or m2 == 0 is already B^m2 A^n1
+                yield (m1 + m2, n1 + n2), c12 if one is None else c12 * one
+
+
 def _packed_product(xt, yt, q: QValue):
-    """The loop of ``NormalElement.__mul__`` on the term maps xt and yt, run
-    on ints with the codec of q and decoded once per key; None if a
-    coefficient does not fit that codec.  fp holds each packed
-    ``_an_bk_expansion(n, k, q)`` the product uses, and ``one`` is 1 packed
-    as those are.  A packed sum is 0 exactly when the sum it encodes is, so
-    the keys come out in the order of the loop over Q(q).
+    """``_product_terms`` of the term maps xt and yt on ints: the
+    coefficients and the expansions fp are packed with the codec of q, and
+    each key is decoded once; None if a coefficient does not fit that codec.
+    A packed sum is 0 exactly when the sum it encodes is, so the keys come
+    out in the order of the product over Q(q).
 
     At symbolic q every coefficient must be in Z[q].  Each is packed once at
     q = 2^K (a ring homomorphism to Z) and unpacked once from balanced
@@ -271,39 +258,25 @@ def _packed_product(xt, yt, q: QValue):
     few.  At rational q every coefficient must be a constant: ``_encode``
     puts xt and yt over their lcm denominators Dx and Dy, the expansions are
     put over the lcm K of theirs, and each sum is an integer over Dx Dy K."""
-    ns, ms = {n for _, n in xt if n}, {m for m, _ in yt if m}
+    nms = _reorderings(xt, yt)
     if q.is_symbolic:
         if any(c.den.coeffs != (1,) for t in (xt, yt) for c in t.values()):
             return None
-        bound = max((_an_bk_scale(n, m, q) for n in ns for m in ms), default=1)
+        bound = max((_an_bk_scale(n, m, q) for n, m in nms), default=1)
         for t in (xt, yt):
             bound *= sum(sum(map(abs, c.num.coeffs)) for c in t.values())
         K = _width(bound)
         xp, yp = ({key: _pack(c.num.coeffs, K) for key, c in t.items()} for t in (xt, yt))
-        one, decode = 1, lambda out: {key: RationalFunction(_unpack(v, K), _P_ONE, _raw=True) for key, v in out.items()}
+        one, decode = None, lambda out: {key: RationalFunction(_unpack(v, K), _P_ONE, _raw=True) for key, v in out.items()}
     else:
         ex, ey = _encode(xt), _encode(yt)
         if ex is None or ey is None:
             return None
         (Dx, xp), (Dy, yp) = ex, ey
-        K = math.lcm(*(_an_bk_scale(n, m, q) for n in ns for m in ms))
+        K = math.lcm(*(_an_bk_scale(n, m, q) for n, m in nms))
         one, decode = K, partial(_decode, Dx * Dy * K)
-    fp = {(n, m): _an_bk_packed(n, m, q, K) for n in ns for m in ms}
-    out: Dict[MonoKey, int] = {}
-    for (m1, n1), c1 in xp.items():
-        for (m2, n2), c2 in yp.items():
-            c12 = c1 * c2
-            if n1 and m2:
-                terms = [((m1 + a, b + n2), c12 * f) for (a, b), f in fp[n1, m2]]
-            else:
-                terms = (((m1 + m2, n1 + n2), c12 * one),)
-            for key, c in terms:
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return decode(out)
+    fp = {(n, m): _an_bk_packed(n, m, q, K) for n, m in nms}
+    return decode(add_terms({}, _product_terms(xp, yp, fp, one)))
 
 
 def _width(bound: int) -> int:
@@ -361,7 +334,7 @@ def _lincomb_codec(pairs, q: QValue):
     K = _width(sum(sum(map(abs, n.coeffs)) for n in nums) * norm)
     xs = [{key: _pack(f.num.coeffs, K) for key, f in x.terms.items()} for _, x in pairs]
     den = _q_q1_poly(1, A, B)
-    decode = lambda out: {k: RationalFunction(_unpack(v, K), den, _raw=A == B == 0) for k, v in out.items() if v}
+    decode = lambda out: {k: RationalFunction(_unpack(v, K), den, _raw=A == B == 0) for k, v in out.items()}
     return [_pack(n.coeffs, K) for n in nums], xs, decode
 
 
@@ -376,8 +349,7 @@ def lincomb(pairs, q: QValue) -> NormalElement:
     cs, xs, decode = coded
     out: Dict[MonoKey, int] = {}
     for cn, xp in zip(cs, xs):
-        for key, v in xp.items():
-            out[key] = out.get(key, 0) + cn * v
+        add_terms(out, ((key, cn * v) for key, v in xp.items()))
     return NormalElement(q, decode(out), _raw=True)
 
 
@@ -437,20 +409,6 @@ def _word_normal_form(word: str, q: QValue, strategy: str):
     pending: Dict[str, RationalFunction] = {word: RF_ONE}
     heap = [(-len(word), -_inversions(word), word)]
     out: Dict[MonoKey, RationalFunction] = {}
-
-    def push(w: str, c: RationalFunction) -> None:
-        acc = pending.get(w)
-        if acc is None:
-            pending[w] = c
-            heapq.heappush(heap, (-len(w), -_inversions(w), w))
-        else:
-            s = acc + c
-            if s.is_zero():
-                # the heap entry goes stale; the pop guard skips it
-                del pending[w]
-            else:
-                pending[w] = s
-
     while heap:
         _, _, w = heapq.heappop(heap)
         c = pending.pop(w, None)
@@ -459,18 +417,14 @@ def _word_normal_form(word: str, q: QValue, strategy: str):
         i = w.find("AB") if strategy == LEFTMOST else w.rfind("AB")
         if i < 0:
             m = w.count("B")
-            key = (m, len(w) - m)
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_terms(out, (((m, len(w) - m), c),))
             continue
-        cq = c * q_rf
-        if not cq.is_zero():
-            push(w[:i] + "BA" + w[i + 2 :], cq)
-        push(w[:i] + w[i + 2 :], c)
+        succ = ((w[:i] + "BA" + w[i + 2 :], c * q_rf), (w[:i] + w[i + 2 :], c))
+        for v, cv in succ:
+            # a word that cancels leaves a stale heap entry; the pop guard skips it
+            if cv and v not in pending:
+                heapq.heappush(heap, (-len(v), -_inversions(v), v))
+        add_terms(pending, succ)
     return tuple(sorted(out.items()))
 
 
@@ -478,16 +432,7 @@ def normal_form(x: FreeElement, q: QValue, strategy: str = LEFTMOST) -> NormalEl
     """Image of a free-algebra element in H(q), in PBW coordinates."""
     if strategy not in (LEFTMOST, RIGHTMOST):
         raise ValueError("unknown rewrite strategy %r" % strategy)
-    out: Dict[MonoKey, RationalFunction] = {}
-    for w, c in x.terms.items():
-        for key, f in _word_normal_form(w, q, strategy):
-            t = c * f
-            acc = out.get(key)
-            s = t if acc is None else acc + t
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+    out = add_terms({}, ((key, c * f) for w, c in x.terms.items() for key, f in _word_normal_form(w, q, strategy)))
     return NormalElement(q, out, _raw=True)
 
 
@@ -495,13 +440,6 @@ def nf_word(w: str, q: QValue) -> NormalElement:
     """Normal form of a single word."""
     check_word(w)
     return normal_form(FreeElement.word(w), q)
-
-
-def embed(x: NormalElement) -> FreeElement:
-    """Re-read a PBW expression as a free-algebra element (B's then A's)."""
-    return FreeElement.from_terms(
-        ("B" * m + "A" * n, c) for (m, n), c in x.terms.items()
-    )
 
 
 def commutator(x: NormalElement, y: NormalElement) -> NormalElement:
@@ -682,27 +620,10 @@ class LiePowerCoords:
         return self.coords.get((d, k), RF_ZERO)
 
     def render(self) -> str:
-        if not self.coords:
-            return "0"
-        parts = []
-        for (d, k) in sorted(self.coords):
-            c = self.coords[(d, k)]
-            names = []
-            if d > 0:
-                names.append("B" if d == 1 else "B^%d" % d)
-            if k:
-                names.append("[A,B]" if k == 1 else "[A,B]^%d" % k)
-            if d < 0:
-                names.append("A" if d == -1 else "A^%d" % (-d))
-            body = " ".join(names) if names else "I"
-            cs = c.render()
-            if cs == "1" and names:
-                parts.append(body)
-                continue
-            if "+" in cs or "- " in cs or "/" in cs:
-                cs = "(%s)" % cs
-            parts.append("%s * %s" % (cs, body) if names else cs)
-        return " + ".join(parts)
+        return _render_terms(
+            (self.coords[d, k], _power("B", d) + _power("[A,B]", k) + _power("A", -d))
+            for d, k in sorted(self.coords)
+        )
 
 
 @lru_cache(maxsize=None)

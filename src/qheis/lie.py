@@ -21,9 +21,9 @@ from typing import Dict, List, Tuple, Union
 
 from .coeff import (
     RF_ONE,
-    RF_ZERO,
     QValue,
     RationalFunction,
+    add_terms,
     binom2,
     q_binomial,
     q_int,
@@ -650,17 +650,11 @@ def matrix_rank(rows: List[Dict]) -> int:
     pivots: List[Tuple[object, Dict]] = []
     rank = 0
     for row in rows:
-        row = dict(row)
+        row = add_terms({}, row.items())
         for key, prow in pivots:
             c = row.get(key)
-            if c is not None and not c.is_zero():
-                for k2, v2 in prow.items():
-                    acc = row.get(k2, RF_ZERO) - c * v2
-                    if acc.is_zero():
-                        row.pop(k2, None)
-                    else:
-                        row[k2] = acc
-        row = {k: v for k, v in row.items() if not v.is_zero()}
+            if c:
+                add_terms(row, ((k2, -c * v2) for k2, v2 in prow.items()))
         if not row:
             continue
         key = min(row, key=repr)
@@ -773,45 +767,33 @@ def zero_basis_coords(x: NormalElement) -> Dict[object, RationalFunction]:
     _require_zero(x.q, "zero_basis_coords")
     enc = _encode(x.terms)
     rem = dict(x.terms) if enc is None else enc[1]
-    coords: Dict = {}  # ints or RationalFunctions, as rem
-
-    def add(d, key, c):
-        acc = d.get(key, 0) + c
-        if acc == 0:
-            d.pop(key, None)
-        else:
-            d[key] = acc
-
+    coords: Dict = {}  # ints or RationalFunctions, as rem; neither holds a 0
     while True:
-        mixed = [k for k, c in rem.items() if k[0] >= 1 and k[1] >= 1 and c != 0]
+        mixed = [k for k in rem if k[0] >= 1 and k[1] >= 1]
         if not mixed:
             break
         m, n = max(mixed, key=lambda k: (k[0] + k[1], k))
         c = rem[(m, n)]
-        add(coords, BrMN(m, n), c)
-        for key, v in brmn_closed(m, n).terms.items():
-            add(rem, key, -c * v.num.coeffs[0])
+        add_terms(coords, ((BrMN(m, n), c),))
+        add_terms(rem, ((key, -c * v.num.coeffs[0]) for key, v in brmn_closed(m, n).terms.items()))
     for (m, n), c in sorted(rem.items()):
-        if c == 0:
-            continue
         if (m, n) == (0, 0):
-            add(coords, Unit(), c)
+            terms = ((Unit(), c),)
         elif (m, n) == (0, 1):
-            add(coords, GenA(), c)
+            terms = ((GenA(), c),)
         elif (m, n) == (1, 0):
-            add(coords, GenB(), c)
+            terms = ((GenB(), c),)
         elif m == 0 and n >= 2:
-            # A^n = B^2 A^(n+2) - <B^2 A^(n+2)> - 2 <B A^(n+1)>
-            add(coords, PowerA(n), c)  # stands for B^2 A^(n+2) after the basis swap
-            add(coords, BrMN(2, n + 2), -c)
-            add(coords, BrMN(1, n + 1), -c - c)
+            # A^n = B^2 A^(n+2) - <B^2 A^(n+2)> - 2 <B A^(n+1)>; PowerA(n)
+            # stands for B^2 A^(n+2) after the basis swap
+            terms = ((PowerA(n), c), (BrMN(2, n + 2), -c), (BrMN(1, n + 1), -c - c))
         elif n == 0 and m >= 2:
-            # B^m = B^(m+2) A^2 - <B^(m+2) A^2> - (m+2) <B^(m+1) A>
-            add(coords, PowerB(m), c)  # stands for B^(m+2) A^2 after the basis swap
-            add(coords, BrMN(m + 2, 2), -c)
-            add(coords, BrMN(m + 1, 1), c * -(m + 2))
+            # B^m = B^(m+2) A^2 - <B^(m+2) A^2> - (m+2) <B^(m+1) A>; PowerB(m)
+            # stands for B^(m+2) A^2 after the basis swap
+            terms = ((PowerB(m), c), (BrMN(m + 2, 2), -c), (BrMN(m + 1, 1), c * -(m + 2)))
         else:
             raise AssertionError("unexpected residual key %r" % ((m, n),))
+        add_terms(coords, terms)
     return coords if enc is None else _decode(enc[0], coords)
 
 

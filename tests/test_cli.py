@@ -335,6 +335,7 @@ def test_cli_eval_refuses_deep_input_with_a_clean_error(capsys):
         (["<" + "B" * 1199 + "A>"], "bracketed word too long: 1200 letters, at most 200"),
         (["(" * 600 + "A" + ")" * 600], "expression nested deeper than 100 levels"),
         (["--", "-" * 3000 + "A"], "expression nested deeper than 100 levels"),
+        (["A^99999999999"], "exponent too large: 99999999999, at most 20000 (at position 2)"),
     )
     for argv, cause in cases:
         assert main(["eval"] + argv) == 2

@@ -17,7 +17,9 @@ from qheis.coeff import (
     RationalFunction,
     _gauss_binomial_poly,
     _normalize,
+    _const,
     _split_q_q1,
+    add_terms,
     binom2,
     q_binomial,
     q_factorial,
@@ -327,6 +329,71 @@ def test_constant_inverse_named_cases(monkeypatch):
     calls.clear()
     assert parts(two_q_over_3.inv()) == ((3,), (0, 2))
     assert len(calls) == 1
+
+
+# -- add_terms -------------------------------------------------------------
+
+
+def eager_add_terms(out, pairs):
+    """The loop each sparse map ran before ``add_terms``: add, then drop a
+    key whose sum is 0 at once, so a key that cancels and comes back
+    re-enters at the end."""
+    for key, c in pairs:
+        acc = out.get(key)
+        s = c if acc is None else acc + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def summed_then_filtered(start, pairs):
+    totals = dict(start)
+    for key, c in pairs:
+        totals[key] = totals.get(key, 0) + c
+    return {key: c for key, c in totals.items() if c != 0}
+
+
+# a few values and their negatives, so that sums often cancel
+rf_pool = [RF_ONE, RF_Q, rf((-1, 1)), const(1, 3), rf((1, 1), (-1, 1)), rf((0, 2), (3,))]
+rf_value = st.one_of(
+    st.sampled_from(rf_pool + [-x for x in rf_pool] + [RF_ZERO]),
+    st.builds(rf, st.lists(st.integers(-2, 2), max_size=3), st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any)),
+)
+term_lists = st.one_of(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=12),
+    st.lists(st.tuples(st.integers(0, 3), rf_value), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists, term_lists)
+def test_add_terms_matches_summing_then_filtering(start_pairs, pairs):
+    start = summed_then_filtered({}, start_pairs)
+    got = add_terms(dict(start), pairs)
+    assert got == summed_then_filtered(start, pairs)
+    assert list(got.items()) == list(eager_add_terms(dict(start), pairs).items())
+    assert all(c != 0 for c in got.values())
+    assert all(got.values())
+
+
+def test_add_terms_named_cases():
+    out = {"a": RF_ONE}
+    assert add_terms(out, []) is out
+    # a key that cancels leaves and comes back at the end
+    assert list(add_terms({"a": 1, "b": 2}, [("a", -1), ("a", 3)]).items()) == [("b", 2), ("a", 3)]
+    # a zero term never creates a key
+    assert add_terms({}, [("a", 0), ("b", RF_ZERO)]) == {}
+    assert add_terms({}, [("a", const(1, 3)), ("a", const(-1, 3))]) == {}
+
+
+def test_rational_function_is_false_exactly_at_zero():
+    assert not RF_ZERO
+    assert not rf((0,), (5,))
+    assert RF_Q - RF_ONE
+    assert _const(-1, 3)
+    assert RF_ONE
 
 
 def test_content_is_the_nonnegative_gcd():

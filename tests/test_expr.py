@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qheis.coeff import QValue, RF_Q, RationalFunction
 from qheis.expr import (
     MAX_DEPTH,
+    MAX_EXPONENT,
     MAX_WORD,
     Add,
     BracketWord,
@@ -28,7 +29,7 @@ from qheis.expr import (
     pretty,
 )
 from qheis.freealg import FreeElement, commutator as f_commutator, eval_monomial
-from qheis.heis import comm_power, nf_word, normal_form, to_lie_power_basis
+from qheis.heis import NormalElement, comm_power, nf_word, normal_form, to_lie_power_basis
 from qheis.lie import membership_generic
 from qheis.words import bracketing
 
@@ -162,6 +163,17 @@ def test_word_length_limit_is_exact():
     assert eval_expr(parse(deepest), QValue.rational(2)).membership is True
     with pytest.raises(ParseError, match="bracketed word too long: %d letters" % (MAX_WORD + 1)):
         parse("<B" + longest[1:])
+
+
+def test_exponent_limit_is_exact():
+    q2 = QValue.rational(2)
+    # at the limit a power still evaluates, in either sign
+    for text in ("I^%d" % MAX_EXPONENT, "(-1)^-%d" % MAX_EXPONENT):
+        assert eval_expr(parse(text), q2).normal == NormalElement.one(q2)
+    for text in ("A^%d" % (MAX_EXPONENT + 1), "q^-%d" % (MAX_EXPONENT + 1)):
+        message = r"exponent too large: %d, at most %d \(at position %d\)" % (MAX_EXPONENT + 1, MAX_EXPONENT, text.index("2"))
+        with pytest.raises(ParseError, match=message):
+            parse(text)
 
 
 def test_precedence_and_unary_minus():

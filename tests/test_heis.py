@@ -22,6 +22,7 @@ from qheis.freealg import FREE_A, FREE_B, FreeElement, eval_monomial
 from qheis.heis import (
     DegenerateQError,
     LEFTMOST,
+    LiePowerCoords,
     RIGHTMOST,
     NormalElement,
     QMismatchError,
@@ -36,7 +37,6 @@ from qheis.heis import (
     bracketed_word,
     comm_power,
     commutator,
-    embed,
     fban_sides,
     from_lie_power_basis,
     grade,
@@ -57,6 +57,11 @@ rf_int = RationalFunction.from_int
 
 def mono(m, n, q=SYM, c=RF_ONE):
     return NormalElement.monomial(m, n, q, c)
+
+
+def embed(x):
+    """Re-read a PBW expression as a free-algebra element (B's then A's)."""
+    return FreeElement.from_terms(("B" * m + "A" * n, c) for (m, n), c in x.terms.items())
 
 
 def rand_normal(rng, q=SYM, support=6, nterms=5):
@@ -650,3 +655,20 @@ def test_lie_power_allows_q_minus_one():
 def test_render_sorted_by_degree_then_m():
     x = mono(0, 2) + mono(1, 0) + NormalElement.one(SYM) + mono(2, 1)
     assert x.render() == "A^2 + 1 + B + B^2 A"
+
+
+def test_lie_power_coords_render():
+    third = RationalFunction.from_fraction(Fraction(1, 3))
+    cases = (
+        ({}, "0"),
+        # the identity [A,B]^0 is its coefficient alone
+        ({(0, 0): RF_ONE}, "1"),
+        ({(0, 1): RF_ONE}, "[A,B]"),
+        ({(1, 0): rf_int(-1)}, "-1 * B"),
+        ({(0, 2): RF_Q - RF_ONE}, "(-1 + q) * [A,B]^2"),
+        ({(-3, 2): third}, "(1/3) * [A,B]^2 A^3"),
+        ({(-1, 0): RF_Q}, "q * A"),
+        ({(2, 3): rf_int(2), (0, 0): rf_int(5), (-1, 1): RF_ONE}, "[A,B] A + 5 + 2 * B^2 [A,B]^3"),
+    )
+    for coords, text in cases:
+        assert LiePowerCoords(SYM, coords).render() == text

@@ -404,4 +404,4 @@ def test_generic_basis_vector_count_fills_the_box():
     vecs = generic_basis_vectors(6, SYM)
     assert len(vecs) == 49
     for _, x in vecs:
-        assert x.support_bound() <= 6
+        assert max(map(max, x.terms), default=0) <= 6
