@@ -101,10 +101,6 @@ class FreeElement:
         return "FreeElement(%s)" % self.render()
 
 
-FREE_A = FreeElement.word("A")
-FREE_B = FreeElement.word("B")
-
-
 def commutator(x: FreeElement, y: FreeElement) -> FreeElement:
     """[x, y] = xy - yx."""
     return x * y - y * x
@@ -126,15 +122,3 @@ def theta(x: FreeElement) -> FreeElement:
 def passes_lie_necessary(x: FreeElement) -> bool:
     """Necessary condition for x to be a Lie polynomial: theta(x) = -x."""
     return theta(x) == -x
-
-
-def scale_letters(
-    x: FreeElement, a_factor: RationalFunction, b_factor: RationalFunction
-) -> FreeElement:
-    """Substitute A -> a_factor * A and B -> b_factor * B."""
-    out: Dict[str, RationalFunction] = {}
-    for w, c in x.terms.items():
-        f = c * a_factor ** w.count("A") * b_factor ** w.count("B")
-        if not f.is_zero():
-            out[w] = f
-    return FreeElement(out, _raw=True)

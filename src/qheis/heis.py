@@ -2,8 +2,10 @@
 basis, the Z-grading, commutator-power expansions, the [A,B]-power basis,
 and the closed-form reordering identities the rest of the package checks.
 
-The defining relation is AB - qBA = I, used as the rewrite rule
-AB -> q BA + I.  All coefficients are exact elements of Q(q).
+The defining relation AB - qBA = I enters in one place: `_an_bk_expansion`
+moves one B at a time through A^j by A^j B = q^j B A^j + {j}_q A^(j-1).  The
+PBW product is built on those expansions, and a word (`nf_word`) is the
+product of its B^m A^n runs.  All coefficients are exact elements of Q(q).
 
 A PBW product of four or more term pairs, and `lincomb` (a sum of c_i x_i),
 run on ints when every coefficient fits the codec of q; anything else takes
@@ -18,11 +20,13 @@ drops a key as soon as its sum is 0.
 
 from __future__ import annotations
 
-import heapq
 import math
+import re
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Dict, Tuple
 
 from .coeff import (
@@ -40,7 +44,6 @@ from .coeff import (
     q_binomial,
     q_int,
 )
-from .freealg import FreeElement, scale_letters
 from .words import check_word, factorize
 
 
@@ -189,13 +192,15 @@ def _an_bk_expansion(n: int, k: int, q: QValue):
     Built by absorbing one B at a time through A^n with the rule
     A^j B = q^j B A^j + {j}_q A^(j-1).
     """
-    q_rf = q.scalar()
+    # q^b and {b}_q = 1 + q + ... + q^(b-1) for b = 0 .. n
+    pows = list(accumulate(repeat(q.scalar(), n), mul, initial=RF_ONE))
+    ints = list(accumulate(pows[:n], initial=RF_ZERO))
     state: Dict[MonoKey, RationalFunction] = {(0, n): RF_ONE}
     for _ in range(k):
         nxt: Dict[MonoKey, RationalFunction] = {}
         for (a, b), c in state.items():
             # {0}_q = 0, so b = 0 adds nothing at (a, -1)
-            add_terms(nxt, (((a + 1, b), c * q_rf**b), ((a, b - 1), c * q_int(b, q_rf))))
+            add_terms(nxt, (((a + 1, b), c * pows[b]), ((a, b - 1), c * ints[b])))
         state = nxt
     return tuple(sorted(state.items()))
 
@@ -374,72 +379,14 @@ def _an_bk_packed(n: int, k: int, q: QValue, K: int):
     return tuple((key, sum(f.num.coeffs) * (K // f.den.coeffs[0])) for key, f in _an_bk_expansion(n, k, q))
 
 
-# ---------------------------------------------------------------------------
-# the rewriting engine
-# ---------------------------------------------------------------------------
-
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
-
-
-def _inversions(w: str) -> int:
-    """Number of (A, later B) pairs; each rewrite strictly decreases it
-    within a length class, so it is the termination metric."""
-    a_seen = 0
-    inv = 0
-    for ch in w:
-        if ch == "A":
-            a_seen += 1
-        else:
-            inv += a_seen
-    return inv
-
-
-@lru_cache(maxsize=None)
-def _word_normal_form(word: str, q: QValue, strategy: str):
-    """Fully rewrite a single word with AB -> q BA + I.
-
-    ``strategy`` picks which AB occurrence is contracted first; by
-    confluence the result is independent of the choice, which the test
-    suite probes explicitly.  Words are processed in decreasing
-    (length, inversions) order: both successors of a rewrite sit
-    strictly lower, so every distinct word is expanded exactly once.
-    """
-    q_rf = q.scalar()
-    pending: Dict[str, RationalFunction] = {word: RF_ONE}
-    heap = [(-len(word), -_inversions(word), word)]
-    out: Dict[MonoKey, RationalFunction] = {}
-    while heap:
-        _, _, w = heapq.heappop(heap)
-        c = pending.pop(w, None)
-        if c is None:
-            continue
-        i = w.find("AB") if strategy == LEFTMOST else w.rfind("AB")
-        if i < 0:
-            m = w.count("B")
-            add_terms(out, (((m, len(w) - m), c),))
-            continue
-        succ = ((w[:i] + "BA" + w[i + 2 :], c * q_rf), (w[:i] + w[i + 2 :], c))
-        for v, cv in succ:
-            # a word that cancels leaves a stale heap entry; the pop guard skips it
-            if cv and v not in pending:
-                heapq.heappush(heap, (-len(v), -_inversions(v), v))
-        add_terms(pending, succ)
-    return tuple(sorted(out.items()))
-
-
-def normal_form(x: FreeElement, q: QValue, strategy: str = LEFTMOST) -> NormalElement:
-    """Image of a free-algebra element in H(q), in PBW coordinates."""
-    if strategy not in (LEFTMOST, RIGHTMOST):
-        raise ValueError("unknown rewrite strategy %r" % strategy)
-    out = add_terms({}, ((key, c * f) for w, c in x.terms.items() for key, f in _word_normal_form(w, q, strategy)))
-    return NormalElement(q, out, _raw=True)
-
-
 def nf_word(w: str, q: QValue) -> NormalElement:
-    """Normal form of a single word."""
-    check_word(w)
-    return normal_form(FreeElement.word(w), q)
+    """Normal form of a single word: the PBW product of its maximal B^m A^n
+    runs, so each A^n B^m between two runs costs one ``_an_bk_expansion``."""
+    out = NormalElement.one(q)
+    for run in re.findall("B+A*|A+", check_word(w)):
+        m = run.count("B")
+        out = out * NormalElement.monomial(m, len(run) - m, q)
+    return out
 
 
 def commutator(x: NormalElement, y: NormalElement) -> NormalElement:
@@ -543,17 +490,15 @@ def reorder_sides(kind: str, n: int, q: QValue) -> Tuple[NormalElement, NormalEl
     return lhs, rhs
 
 
-def shift_poly_sides(P: FreeElement, n: int, q: QValue):
-    """Sides of P(B,A) [A,B]^n = [A,B]^n P(q^-n B, q^n A); needs q != 0."""
+def shift_poly_sides(w: str, n: int, q: QValue):
+    """Sides of P [A,B]^n = [A,B]^n P(q^-n B, q^n A) for the word P = w; the
+    substitution scales w by q^(n (#A - #B)).  Needs q != 0."""
     if n < 0:
         raise ValueError("shift identity needs n >= 0")
     if q.is_zero:
         raise DegenerateQError("the shift identity requires q != 0")
-    c = comm_power(n, q)
-    lhs = normal_form(P, q) * c
-    scaled = scale_letters(P, q.power(n), q.power(-n))
-    rhs = c * normal_form(scaled, q)
-    return lhs, rhs
+    p, c = nf_word(w, q), comm_power(n, q)
+    return p * c, c * p.scale(q.power(n * (w.count("A") - w.count("B"))))
 
 
 def bnan_expand(n: int, q: QValue) -> NormalElement:
@@ -650,17 +595,15 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
     _require_not_01(q, "to_lie_power_basis")
     coords: Dict[Tuple[int, int], RationalFunction] = {}
     for d, part in grade(x).parts.items():
-        rem = part
-        while not rem.is_zero():
-            k = max(min(m, n) for (m, n) in rem.terms)
+        rem = dict(part.terms)
+        while rem:
+            k = max(min(m, n) for (m, n) in rem)
             key = (max(k + d, k), max(k - d, k))
-            vec = lie_power_vector(d, k, q)
-            lead = vec.terms[key]
-            c = rem.terms.get(key, RF_ZERO) / lead
-            if c.is_zero():
+            if key not in rem:
                 raise AssertionError("triangular solve lost its pivot")
-            coords[(d, k)] = c
-            rem = rem - vec.scale(c)
+            vec = lie_power_vector(d, k, q)
+            c = coords[(d, k)] = rem[key] / vec.terms[key]
+            add_terms(rem, ((j, -c * v) for j, v in vec.terms.items()))
     return LiePowerCoords(q, coords)
 
 

@@ -229,17 +229,6 @@ def membership_generic(x: NormalElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def beta_word(kind: str, k: int, l: int = 1) -> str:
-    """The regular word whose bracketing defines the generator."""
-    if kind == "A":
-        return "BA" * k + "B" + "A" * (l + 1)
-    if kind == "B":
-        return "B" * (l + 1) + "A" + "BA" * k
-    if kind == "G":
-        return "B" + "BA" * k + "BAA"
-    raise ValueError("unknown beta kind %r" % kind)
-
-
 def beta_raw(kind: str, k: int, l: int = 1, q: QValue = None) -> NormalElement:
     """The generator as an iterated adjoint, evaluated in H(q).
 

@@ -133,10 +133,6 @@ def _binomial_inverse(key: Tuple, n: int, i: int, z: RationalFunction) -> Entry:
     return _compare(key, lhs, z ** (-i * (n - i)) * q_binomial(n, i, z))
 
 
-def _shift_identity(key: Tuple, word: str, n: int, q: QValue) -> Entry:
-    return _compare(key, *shift_poly_sides(FreeElement.word(word), n, q))
-
-
 def _table1_cell(key: Tuple, rv, cv, q: QValue) -> List[Entry]:
     # one commutator per cell; the derived twin reports only when the
     # printed form fails, and reuses the printed check's lhs
@@ -251,7 +247,7 @@ def _shift(q: QValue, bounds) -> Items:
         for letters in itertools.product(ALPHABET, repeat=length):
             word = "".join(letters)
             for n in range(bounds["n"] + 1):
-                yield (word, n), _shift_identity, (word, n, q)
+                yield (word, n), _sides, (shift_poly_sides, word, n, q)
 
 
 def _bnan_anbn(q: QValue, bounds) -> Items:

@@ -25,28 +25,6 @@ def render_word(w: str) -> str:
     return w if w else "I"
 
 
-def bdeg(w: str) -> int:
-    """Number of B letters minus number of A letters."""
-    return w.count("B") - w.count("A")
-
-
-def ba_count(w: str) -> int:
-    """Number of B-block/A-block pairs in the canonical B^m A^n ... parse."""
-    if not w:
-        return 0
-    k = w.count("BA")
-    if w[0] == "A":
-        k += 1
-    if w[-1] == "B":
-        k += 1
-    return k
-
-
-def lex_less(v: str, w: str) -> bool:
-    """Strict lexicographic comparison with A < B."""
-    return v < w
-
-
 def triangle_less(v: str, w: str) -> bool:
     """The concatenation order: holds when vw comes after wv."""
     if not v or not w:

@@ -29,9 +29,10 @@ from qheis.expr import (
     pretty,
 )
 from qheis.freealg import FreeElement, commutator as f_commutator, eval_monomial
-from qheis.heis import NormalElement, comm_power, nf_word, normal_form, to_lie_power_basis
+from qheis.heis import NormalElement, comm_power, nf_word, to_lie_power_basis
 from qheis.lie import membership_generic
 from qheis.words import bracketing
+from rewriting import normal_form
 
 SYM = QValue()
 QS = [SYM, QValue.rational(2), QValue.parse("-1/3"), QValue.rational(0), QValue.rational(1)]

@@ -4,18 +4,17 @@ import random
 
 from qheis.coeff import IntPoly, RF_ONE, RF_Q, RationalFunction
 from qheis.freealg import (
-    FREE_A,
-    FREE_B,
     FreeElement,
     commutator,
     eval_monomial,
     passes_lie_necessary,
-    scale_letters,
     theta,
 )
 from qheis.words import Leaf, bracketing, enumerate_regular
 
 W = FreeElement.word
+FREE_A = W("A")
+FREE_B = W("B")
 
 
 def rand_element(rng, max_len=4, nterms=4):
@@ -116,13 +115,6 @@ def test_jacobi_identity_on_random_words():
             + commutator(y, commutator(z, x))
         )
         assert total.is_zero()
-
-
-def test_scale_letters():
-    x = W("AB") + W("BB")
-    scaled = scale_letters(x, RF_Q, RF_Q.inv())
-    assert scaled.terms["AB"] == RF_ONE
-    assert scaled.terms["BB"] == RF_Q.inv() ** 2
 
 
 def test_rendering_is_sorted_and_stable():

@@ -18,18 +18,15 @@ from qheis.coeff import (
     gauss_polynomial,
     q_int,
 )
-from qheis.freealg import FREE_A, FREE_B, FreeElement, eval_monomial
+from qheis.freealg import FreeElement, eval_monomial
 from qheis.heis import (
     DegenerateQError,
-    LEFTMOST,
     LiePowerCoords,
-    RIGHTMOST,
     NormalElement,
     QMismatchError,
     _an_bk_expansion,
     _lincomb_codec,
     _packed_product,
-    _word_normal_form,
     adad_sides,
     anbn_expand,
     anbn_via_gauss,
@@ -42,12 +39,12 @@ from qheis.heis import (
     grade,
     lincomb,
     nf_word,
-    normal_form,
     reorder_sides,
     shift_poly_sides,
     to_lie_power_basis,
 )
 from qheis.words import bracketing, enumerate_regular
+from rewriting import LEFTMOST, RIGHTMOST, _word_normal_form, normal_form
 
 SYM = QValue()
 Q0 = QValue.rational(0)
@@ -133,9 +130,16 @@ def test_confluence_of_the_two_strategies_short_words():
             )
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        normal_form(FREE_A, SYM, strategy="middle")
+@pytest.mark.parametrize(
+    "q", [SYM, QValue.parse("-1/3"), Q0, QValue.rational(1), QValue.rational(2)], ids=str
+)
+def test_nf_word_matches_the_rewriter(q):
+    # nf_word multiplies the B^m A^n runs of w in H(q); the rewriter never
+    # multiplies, it contracts one AB at a time
+    for length in range(11):
+        for letters in itertools.product("AB", repeat=length):
+            w = "".join(letters)
+            assert nf_word(w, q) == normal_form(FreeElement.word(w), q), w
 
 
 # -- algebra operations --------------------------------------------------------
@@ -184,7 +188,7 @@ def test_ring_axioms_for_the_memoized_product():
 
 
 def test_engine_is_total_at_q_one():
-    # the rewriter never divides, so q = 1 (the classical case) still works
+    # no normal form divides, so q = 1 (the classical case) still works
     q1 = QValue.rational(1)
     assert nf_word("AB", q1) == mono(1, 1, q1) + NormalElement.one(q1)
     assert commutator(nf_word("A", q1), nf_word("B", q1)) == NormalElement.one(q1)
@@ -546,20 +550,21 @@ def test_expansions_reject_degenerate_q():
 
 def test_shift_specializations():
     # A [A,B] = q [A,B] A and B [A,B] = q^-1 [A,B] B
-    assert eq(*shift_poly_sides(FREE_A, 1, SYM))
-    assert eq(*shift_poly_sides(FREE_B, 1, SYM))
-    assert eq(*shift_poly_sides(FreeElement.one(), 3, SYM))
+    assert eq(*shift_poly_sides("A", 1, SYM))
+    assert eq(*shift_poly_sides("B", 1, SYM))
+    assert eq(*shift_poly_sides("", 3, SYM))
 
 
 def test_shift_needs_nonzero_q():
     with pytest.raises(DegenerateQError):
-        eq(*shift_poly_sides(FREE_A, 1, Q0))
+        eq(*shift_poly_sides("A", 1, Q0))
 
 
 def test_shift_on_polynomials_not_just_monomials():
+    # the identity is linear in P, so holding on every word it holds on every P
     rng = random.Random(15)
     for _ in range(30):
-        P = rand_free(rng, max_len=4)
+        P = "".join(rng.choice("AB") for _ in range(rng.randrange(7)))
         assert eq(*shift_poly_sides(P, rng.randrange(4), SYM))
 
 

@@ -33,7 +33,6 @@ from qheis.lie import (
     beta_closed_sides,
     beta_gamma_sum_sides,
     beta_raw,
-    beta_word,
     bigcomrel_sides,
     expand_gen_basis,
     gen_basis_coords,
@@ -97,6 +96,17 @@ def test_beta_raw_small_cases():
     assert beta_raw("B", 0, 1, SYM) == bracketed_word("BBA", SYM)
     # beta_G(0) = [B, <B A^2>]
     assert beta_raw("G", 0, 1, SYM) == commutator(b, bracketed_word("BAA", SYM))
+
+
+def beta_word(kind: str, k: int, l: int = 1) -> str:
+    """The regular word whose bracketing defines the generator."""
+    if kind == "A":
+        return "BA" * k + "B" + "A" * (l + 1)
+    if kind == "B":
+        return "B" * (l + 1) + "A" + "BA" * k
+    if kind == "G":
+        return "B" + "BA" * k + "BAA"
+    raise ValueError("unknown beta kind %r" % kind)
 
 
 def test_beta_words_are_regular_and_match_the_adjoint_forms():

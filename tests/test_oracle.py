@@ -1,5 +1,5 @@
-"""An independent oracle for the PBW product, the bracketed words and the
-[A,B]-power basis change: the action of H(q) on Q[x].
+"""An independent oracle for the PBW product, the normal forms of words, the
+bracketed words and the [A,B]-power basis change: the action of H(q) on Q[x].
 
 A acts as the Jackson derivative D_q x^k = {k}_q x^(k-1) and B as
 multiplication by x, so AB - qBA = I holds.  For q = 0 and for q not a
@@ -12,13 +12,14 @@ points: a wrong coefficient is a nonzero rational function, which has only
 finitely many roots.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qheis.coeff import IntPoly, QValue, RationalFunction
-from qheis.heis import NormalElement, bracketed_word, from_lie_power_basis, to_lie_power_basis
+from qheis.heis import NormalElement, bracketed_word, from_lie_power_basis, nf_word, to_lie_power_basis
 from qheis.words import enumerate_regular, factorize
 
 SYM = QValue()
@@ -100,6 +101,28 @@ def test_oracle_satisfies_the_defining_relation():
             ba = act(b, q0, act(a, q0, {j: 1}))
             diff = {k: ab.get(k, 0) - q0 * ba.get(k, 0) for k in set(ab) | set(ba)}
             assert {k: v for k, v in diff.items() if v} == {j: 1}
+
+
+def act_word(w, q0, poly):
+    """The word w applied to poly as the composition of its letters, the
+    last letter first."""
+    for letter in reversed(w):
+        poly = act(NormalElement.monomial(int(letter == "B"), int(letter == "A"), SYM), q0, poly)
+    return poly
+
+
+def test_words_act_as_their_letters_composed():
+    # nf_word is the side the reorder, bnan-anbn and fer entries hold their
+    # closed forms against; this checks it without either normal-form engine
+    rational = [(QValue(q0), [q0]) for q0 in (Fraction(2), Fraction(-1, 3), Fraction(0))]
+    for q, q0s in rational + [(SYM, POINTS)]:
+        for length in range(9):
+            for letters in itertools.product("AB", repeat=length):
+                w = "".join(letters)
+                x = nf_word(w, q)
+                for q0 in q0s:
+                    for j in range(w.count("A") + 1):
+                        assert act(x, q0, {j: 1}) == act_word(w, q0, {j: 1}), (w, q, q0, j)
 
 
 def act_bracket(w, q0, poly):

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from qheis.words import (
     Bracket,
     Leaf,
-    ba_count,
-    bdeg,
     bracketing,
     enumerate_regular,
     factorize,
     is_regular,
-    lex_less,
     triangle_less,
 )
 
@@ -41,12 +38,6 @@ def necklace_count(n):
         return -out if x > 1 else out
 
     return sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
-
-
-def test_lex_less_basics():
-    assert lex_less("AB", "BA")
-    assert lex_less("BA", "BB")
-    assert not lex_less("BA", "BA")
 
 
 def test_triangle_less_examples():
@@ -146,18 +137,6 @@ def test_bracketing_recursion_matches_block_shapes():
 def test_foliage_reconstructs_the_word():
     for w in enumerate_regular(12):
         assert bracketing(w).foliage() == w
-
-
-def test_bdeg_and_ba_count():
-    assert bdeg("BBA") == 1
-    assert bdeg("") == 0
-    assert ba_count("") == 0
-    assert ba_count("BA") == 1
-    assert ba_count("AB") == 2  # B^0 A^1 then B^1 A^0
-    assert ba_count("BBABA") == 2
-    for w in enumerate_regular(8):
-        if len(w) >= 2:
-            assert ba_count(w) == w.count("BA")
 
 
 @settings(max_examples=300, deadline=None)
