@@ -561,13 +561,20 @@ class QValue:
 
     @staticmethod
     def parse(text: str) -> "QValue":
+        """The shared QValue of text: ``SYMBOLIC_Q``, or one instance per
+        rational value, so that a cache key made by an earlier parse matches
+        by identity instead of through ``Fraction.__eq__``."""
         text = text.strip()
         if text == "symbolic":
-            return QValue()
+            return SYMBOLIC_Q
         try:
-            return QValue(Fraction(text))
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("q must be 'symbolic' or a rational p/r: %r" % text) from exc
+        q = _PARSED.get(value)
+        if q is None:
+            q = _PARSED[value] = QValue(value)
+        return q
 
     @property
     def is_symbolic(self) -> bool:
@@ -610,6 +617,7 @@ class QValue:
 
 
 SYMBOLIC_Q = QValue()
+_PARSED = {}  # rational value -> the QValue that QValue.parse returns for it
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ packed once into its value at q = 2^K (Kronecker substitution, K from a
 proven l1-norm bound).  At rational q each must be a constant n/d, and a
 term map is put over one common denominator D (`_encode`); `lincomb` also
 needs two pairs or more, and `lie.zero_basis_coords` solves on the same ints.
+Long packed values go to and from their digits in one bytes pass (`_pack`,
+`_unpack`), so the cost is linear in the length.
+
+`to_lie_power_basis` back-substitutes each grading part in one pivot loop
+on the same codecs.  At symbolic q the part is first multiplied by
+P = (q-1)^kmax q^C(kmax,2), which by the `bnan_expand` closed form clears
+every denominator of its coordinates, so each pivot divides exactly; at
+rational q the remainder is scaled up where a pivot does not divide.
 Every term map, on ints or over Q(q), is summed by `coeff.add_terms`, which
 drops a key as soon as its sum is 0.
 """
@@ -190,8 +198,11 @@ def _an_bk_expansion(n: int, k: int, q: QValue):
     """PBW expansion of A^n B^k as a tuple of ((m', n'), coeff) pairs.
 
     Built by absorbing one B at a time through A^n with the rule
-    A^j B = q^j B A^j + {j}_q A^(j-1).
+    A^j B = q^j B A^j + {j}_q A^(j-1).  At q = 0 that rule is AB = I, so
+    A^n B^k is the pure power A^(n-k) or B^(k-n).
     """
+    if q.is_zero:
+        return (((max(k - n, 0), max(n - k, 0)), RF_ONE),)
     # q^b and {b}_q = 1 + q + ... + q^(b-1) for b = 0 .. n
     pows = list(accumulate(repeat(q.scalar(), n), mul, initial=RF_ONE))
     ints = list(accumulate(pows[:n], initial=RF_ZERO))
@@ -289,14 +300,43 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 16) // 16 * 16
 
 
+# From this many base-2^K digits up, ``_pack`` and ``_unpack`` make one bytes
+# pass, linear in the length; below it the shift loops, quadratic in the
+# length but with less overhead per digit, are faster.
+_BYTES_FROM = 48
+
+
+def _halves(K: int, n: int) -> int:
+    """2^(K-1) in each of n base-2^K digits: the offset that makes a
+    balanced digit in [-2^(K-1), 2^(K-1)) an unsigned one.  K is a multiple
+    of 16, so a digit is K/8 whole bytes."""
+    return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * n, "little")
+
+
 def _pack(cs, K: int) -> int:
     """The polynomial with coefficients cs (lowest first) at q = 2^K."""
+    if len(cs) >= _BYTES_FROM:
+        B, half = K // 8, 1 << (K - 1)
+        try:
+            raw = b"".join((c + half).to_bytes(B, "little") for c in cs)
+        except OverflowError:  # a c that is no balanced digit
+            pass
+        else:
+            return int.from_bytes(raw, "little") - _halves(K, len(cs))
     return sum(c << K * i for i, c in enumerate(cs))
 
 
 def _unpack(v: int, K: int) -> IntPoly:
-    """The polynomial packed as v at q = 2^K, from balanced base-2^K digits."""
-    half, mask = 1 << (K - 1), (1 << K) - 1
+    """The polynomial packed as v at q = 2^K, from balanced base-2^K digits
+    (each in [-2^(K-1), 2^(K-1)))."""
+    half = 1 << (K - 1)
+    # |v| < 2^(K m), m = v.bit_length() // K + 1, takes at most m + 1 digits
+    n = v.bit_length() // K + 2
+    if n > _BYTES_FROM:
+        B = K // 8
+        raw = (v + _halves(K, n)).to_bytes(n * B, "little")
+        return IntPoly([int.from_bytes(raw[i : i + B], "little") - half for i in range(0, n * B, B)])
+    mask = (1 << K) - 1
     cs = []
     while v:
         cs.append(((v + half) & mask) - half)
@@ -358,25 +398,33 @@ def lincomb(pairs, q: QValue) -> NormalElement:
     return NormalElement(q, decode(out), _raw=True)
 
 
-@lru_cache(maxsize=None)
-def _an_bk_scale(n: int, k: int, q: QValue) -> int:
-    """At symbolic q the largest l1 norm of a coefficient of
-    ``_an_bk_expansion(n, k, q)`` (all in Z[q]: it multiplies only by q^b
-    and {b}_q), at rational q the lcm of their denominators."""
-    fs = [f for _, f in _an_bk_expansion(n, k, q)]
+def _coeff_scale(fs, q: QValue) -> int:
+    """At symbolic q the largest l1 norm of the coefficients fs (all in
+    Z[q]), at rational q the lcm of their denominators (all constants)."""
     if q.is_symbolic:
         return max(sum(map(abs, f.num.coeffs)) for f in fs)
     return math.lcm(*(f.den.coeffs[0] for f in fs))
 
 
+def _pack_coeffs(terms, q: QValue, K: int):
+    """The (key, f) pairs terms with each f packed: at symbolic q as f(2^K),
+    at rational q as the integer f K (K a multiple of every denominator)."""
+    if q.is_symbolic:
+        return tuple((key, _pack(f.num.coeffs, K)) for key, f in terms)
+    return tuple((key, sum(f.num.coeffs) * (K // f.den.coeffs[0])) for key, f in terms)
+
+
+@lru_cache(maxsize=None)
+def _an_bk_scale(n: int, k: int, q: QValue) -> int:
+    """``_coeff_scale`` of ``_an_bk_expansion(n, k, q)``, whose coefficients
+    are in Z[q] at symbolic q: it multiplies only by q^b and {b}_q."""
+    return _coeff_scale([f for _, f in _an_bk_expansion(n, k, q)], q)
+
+
 @lru_cache(maxsize=None)
 def _an_bk_packed(n: int, k: int, q: QValue, K: int):
-    """``_an_bk_expansion(n, k, q)`` with each coefficient f packed: at
-    symbolic q as f(2^K), at rational q as the integer f K (K a multiple of
-    every denominator)."""
-    if q.is_symbolic:
-        return tuple((key, _pack(f.num.coeffs, K)) for key, f in _an_bk_expansion(n, k, q))
-    return tuple((key, sum(f.num.coeffs) * (K // f.den.coeffs[0])) for key, f in _an_bk_expansion(n, k, q))
+    """``_an_bk_expansion(n, k, q)`` packed by ``_pack_coeffs``."""
+    return _pack_coeffs(_an_bk_expansion(n, k, q), q, K)
 
 
 def nf_word(w: str, q: QValue) -> NormalElement:
@@ -573,37 +621,126 @@ class LiePowerCoords:
 
 @lru_cache(maxsize=None)
 def lie_power_vector(d: int, k: int, q: QValue) -> NormalElement:
-    """PBW expansion of the (d, k) basis vector."""
+    """PBW expansion of the (d, k) basis vector.  [A,B]^k has only keys
+    (j, j), and B^d B^j A^j = B^(j+d) A^j, B^j A^j A^e = B^j A^(j+e): the
+    keys of ``comm_power(k, q)`` shift."""
     if k < 0:
         raise ValueError("lie_power_vector needs k >= 0")
-    c = comm_power(k, q)
-    if d > 0:
-        return NormalElement.monomial(d, 0, q) * c
-    if d < 0:
-        return c * NormalElement.monomial(0, -d, q)
-    return c
+    dm, dn = max(d, 0), max(-d, 0)
+    return NormalElement(q, {(m + dm, n + dn): f for (m, n), f in comm_power(k, q).terms.items()}, _raw=True)
+
+
+@lru_cache(maxsize=None)
+def _comm_power_scale(k: int, q: QValue) -> int:
+    """``_coeff_scale`` of ``comm_power(k, q)`` (at symbolic q in Z[q])."""
+    return _coeff_scale(comm_power(k, q).terms.values(), q)
+
+
+@lru_cache(maxsize=None)
+def _comm_power_packed(k: int, q: QValue, K):
+    """The coefficients of [A,B]^k as {j: f} over its keys (j, j): packed by
+    ``_pack_coeffs``, or as they are for K None."""
+    diag = [(j, f) for (j, _), f in comm_power(k, q).terms.items()]
+    return dict(diag if K is None else _pack_coeffs(diag, q, K))
+
+
+def _field_quotient(a, b):
+    return a / b, 1
+
+
+def _exact_quotient(a: int, b: int):
+    c, r = divmod(a, b)
+    if r:
+        raise AssertionError("packed pivot division left a remainder")
+    return c, 1
+
+
+def _rescaling_quotient(a: int, b: int):
+    """(c, s) with a s = c b and s > 0 least."""
+    s = abs(b) // math.gcd(a, b)
+    return a * s // b, s
+
+
+def _basis_codec(terms, q: QValue):
+    """(rem, vector, quotient, decode) for the back-substitution of one
+    grading part with the term map terms; see ``to_lie_power_basis``."""
+    if q.is_symbolic and all(c.den.coeffs == (1,) for c in terms.values()):
+        kmax = max(min(key) for key in terms)
+        P = _q_q1_poly(1, binom2(kmax), kmax)
+        bound = 2**kmax * sum(sum(map(abs, c.num.coeffs)) for c in terms.values())
+        K = _width(bound * (1 + sum(_comm_power_scale(k, q) for k in range(kmax + 1))))
+        p = _pack(P.coeffs, K)
+        rem = {key: _pack(c.num.coeffs, K) * p for key, c in terms.items()}
+        decode = lambda sol, s: {k: RationalFunction(_unpack(c, K), P) for k, c in sol.items()}
+        return rem, lambda k: _comm_power_packed(k, q, K), _exact_quotient, decode
+    coded = None if q.is_symbolic else _encode(terms)
+    if coded is not None:
+        D, rem = coded
+        E = lambda k: _comm_power_scale(k, q)
+        decode = lambda sol, s: _decode(D * s, {k: c * E(k) for k, c in sol.items()})
+        return rem, lambda k: _comm_power_packed(k, q, E(k)), _rescaling_quotient, decode
+    return dict(terms), lambda k: _comm_power_packed(k, q, None), _field_quotient, lambda sol, s: sol
+
+
+def _back_substitute(rem, d: int, vector, quotient):
+    """({k: c}, s): the coordinates c of the term map rem, of grading d, on
+    the basis vectors (d, k), and the factor s rem was scaled by.  vector(k)
+    is {j: f} for the terms f B^j A^j of [A,B]^k (the (d, k) vector has them
+    at (j + max(d, 0), j + max(-d, 0))).  quotient(a, b) is (c, s) with
+    a s = c b for the pivot entry a and the leading coefficient b; s != 1
+    scales rem and the coordinates so far.  Each k is visited once, so a
+    pivot that fails to cancel ends in the error below, not in a loop."""
+    dm, dn = max(d, 0), max(-d, 0)
+    coords, scale = {}, 1
+    for k in range(max(min(key) for key in rem), -1, -1):
+        key = (k + dm, k + dn)
+        if key not in rem:
+            continue
+        vec = vector(k)
+        c, s = quotient(rem[key], vec[k])
+        if s != 1:
+            for t in (rem, coords):
+                for j in t:
+                    t[j] *= s
+            scale *= s
+        coords[k] = c
+        add_terms(rem, (((j + dm, j + dn), -c * f) for j, f in vec.items()))
+    if rem:
+        raise AssertionError("triangular solve lost its pivot")
+    return coords, scale
 
 
 def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
     """Exact coordinates in the [A,B]-power basis, by back-substitution.
 
-    Works per grading component; the expansions of B^d [A,B]^k are
-    triangular in the A-degree with invertible leading coefficients
-    whenever q is not 0 or 1.
+    Works per grading component d.  The (d, k) vector's term of highest
+    A-degree is (q-1)^k q^C(k,2) B^k A^k shifted by d, invertible whenever q
+    is not 0 or 1, so the coordinates come out k = kmax down to 0, kmax the
+    part's largest min(m, n).  One pivot loop (``_back_substitute``) runs on
+    the codec the part fits, and each coordinate is decoded once:
+
+    - symbolic q, coefficients in Z[q]: the part times P = (q-1)^kmax
+      q^C(kmax,2), packed at q = 2^K.  By the ``bnan_expand`` closed form,
+      B^n A^n with n <= kmax has coordinates q^-C(n,2) (q-1)^-n times Z[q],
+      so every coordinate C of P x is in Z[q] with |C|_1 <= 2^kmax |x|_1,
+      and each pivot entry is C times the packed leading coefficient: the
+      division is exact.  The remainder holds the sum of the unsolved C
+      times their vectors, so K is ``_width`` of 2^kmax |x|_1 (1 + the sum
+      over k <= kmax of the largest l1 norm in [A,B]^k).  A coordinate is
+      C/P.
+    - rational q, constant coefficients: the integers of ``_encode`` over
+      one denominator D, and each [A,B]^k over the lcm of its own.  When a
+      leading coefficient does not divide its pivot entry, the remainder
+      and the coordinates so far are scaled up until it does, and D with
+      them.
+    - anything else: Q(q).
     """
     q = x.q
     _require_not_01(q, "to_lie_power_basis")
     coords: Dict[Tuple[int, int], RationalFunction] = {}
     for d, part in grade(x).parts.items():
-        rem = dict(part.terms)
-        while rem:
-            k = max(min(m, n) for (m, n) in rem)
-            key = (max(k + d, k), max(k - d, k))
-            if key not in rem:
-                raise AssertionError("triangular solve lost its pivot")
-            vec = lie_power_vector(d, k, q)
-            c = coords[(d, k)] = rem[key] / vec.terms[key]
-            add_terms(rem, ((j, -c * v) for j, v in vec.terms.items()))
+        rem, vector, quotient, decode = _basis_codec(part.terms, q)
+        coords.update(((d, k), c) for k, c in decode(*_back_substitute(rem, d, vector, quotient)).items())
     return LiePowerCoords(q, coords)
 
 

@@ -14,6 +14,7 @@ from qheis.coeff import (
     RF_ONE,
     RF_Q,
     RF_ZERO,
+    SYMBOLIC_Q,
     RationalFunction,
     _gauss_binomial_poly,
     _normalize,
@@ -542,6 +543,18 @@ def test_qvalue_parse_and_flags():
         QValue.parse("elephant")
     with pytest.raises(ValueError):
         QValue.parse("1/0")
+
+
+def test_parsed_q_values_are_shared():
+    # one instance per value, so cache keys from earlier parses match by
+    # identity; equality and hash are those of the value
+    third = QValue.parse("-1/3")
+    assert third is QValue.parse(" -1/3 ") is QValue.parse("-2/6")
+    assert QValue.parse("symbolic") is SYMBOLIC_Q is QValue.parse(" symbolic")
+    assert third == QValue.rational(-1, 3) and hash(third) == hash(QValue.rational(-1, 3))
+    assert third is not QValue.rational(-1, 3)
+    assert QValue.parse("2") == QValue(Fraction(2)) and third != QValue.parse("1/3")
+    assert SYMBOLIC_Q == QValue() and hash(SYMBOLIC_Q) == hash(QValue()) and SYMBOLIC_Q != third
 
 
 def test_qvalue_scalar_and_power():

@@ -15,6 +15,7 @@ from qheis.coeff import (
     RF_ONE,
     RF_Q,
     RationalFunction,
+    add_terms,
     gauss_polynomial,
     q_int,
 )
@@ -24,9 +25,17 @@ from qheis.heis import (
     LiePowerCoords,
     NormalElement,
     QMismatchError,
+    _BYTES_FROM,
     _an_bk_expansion,
+    _back_substitute,
+    _basis_codec,
+    _exact_quotient,
+    _field_quotient,
     _lincomb_codec,
+    _pack,
     _packed_product,
+    _rescaling_quotient,
+    _unpack,
     adad_sides,
     anbn_expand,
     anbn_via_gauss,
@@ -37,6 +46,7 @@ from qheis.heis import (
     fban_sides,
     from_lie_power_basis,
     grade,
+    lie_power_vector,
     lincomb,
     nf_word,
     reorder_sides,
@@ -238,6 +248,30 @@ def schoolbook_product(x, y):
     return NormalElement(q, out, _raw=True)
 
 
+def absorb_an_bk(n, k, q):
+    """Reference for ``_an_bk_expansion`` at every q: absorb one B at a time
+    through A^n by A^j B = q^j B A^j + {j}_q A^(j-1)."""
+    q_rf = q.scalar()
+    state = {(0, n): RF_ONE}
+    for _ in range(k):
+        nxt = {}
+        for (a, b), c in state.items():
+            add_terms(nxt, (((a + 1, b), c * q_rf**b), ((a, b - 1), c * q_int(b, q_rf))))
+        state = nxt
+    return tuple(sorted(state.items()))
+
+
+def test_an_bk_expansion_matches_the_absorb_loop():
+    # at q = 0, AB = I makes A^n B^k one pure power with coefficient 1
+    for n in range(31):
+        for k in range(31):
+            assert _an_bk_expansion(n, k, Q0) == absorb_an_bk(n, k, Q0), (n, k)
+    for q in (SYM, QValue.rational(2), QValue.parse("-1/3"), QValue.rational(-1)):
+        for n in range(7):
+            for k in range(7):
+                assert _an_bk_expansion(n, k, q) == absorb_an_bk(n, k, q), (q, n, k)
+
+
 def assert_same_product(x, y):
     want = list(schoolbook_product(x, y).terms.items())
     # same terms in the same order, so every later loop over them agrees too;
@@ -290,6 +324,35 @@ def test_packed_product_named_cases():
             assert_same_product(mono(0, 0, c=rf_int(c)), mono(2, 0, c=rf_int(d)))
     # large expansion indices
     assert_same_product(mono(0, 14) - mono(2, 3), mono(13, 1, c=rf_int(-(2**40))) + mono(0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unpack_inverts_pack(data):
+    # lengths on both sides of the bytes-pass cut-off, digits at the edges of
+    # the balanced range [-2^(K-1), 2^(K-1))
+    K = data.draw(st.sampled_from([16, 32, 48, 352]))
+    top = 2 ** (K - 1) - 1
+    n = data.draw(st.one_of(st.integers(0, 300), st.integers(_BYTES_FROM - 3, _BYTES_FROM + 3)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    digits = [top, -top, -top - 1, 0, 1, -1, rng.randrange(-top, top)]
+    cs = [rng.choice(digits) for _ in range(n)]
+    if cs and not cs[-1]:
+        cs[-1] = top
+    v = _pack(cs, K)
+    assert v == sum(c << K * i for i, c in enumerate(cs))
+    assert _unpack(v, K).coeffs == tuple(cs)
+
+
+def test_pack_of_digits_outside_the_balanced_range():
+    # 2^(K-1) is no balanced digit: _pack still evaluates at q = 2^K, and
+    # _unpack reads the value back in balanced digits
+    K = 16
+    for n in (_BYTES_FROM - 1, _BYTES_FROM, 200):
+        cs = [2 ** (K - 1)] * n
+        v = _pack(cs, K)
+        assert v == sum(c << K * i for i, c in enumerate(cs))
+        assert _unpack(v, K).coeffs == tuple([-(2 ** (K - 1))] + [1 - 2 ** (K - 1)] * (n - 1) + [1])
 
 
 def test_non_unit_denominator_takes_the_schoolbook_path():
@@ -652,6 +715,103 @@ def test_lie_power_allows_q_minus_one():
     q = QValue.rational(-1)
     x = mono(2, 1, q) + mono(1, 1, q) + NormalElement.one(q)
     assert from_lie_power_basis(to_lie_power_basis(x)) == x
+
+
+def reference_to_lie_power_basis(x):
+    """Reference for ``to_lie_power_basis``: the back-substitution over Q(q)
+    that solved every grading part before the packed and constant-q codecs."""
+    q = x.q
+    coords = {}
+    for d, part in grade(x).parts.items():
+        rem = dict(part.terms)
+        while rem:
+            k = max(min(m, n) for (m, n) in rem)
+            key = (max(k + d, k), max(k - d, k))
+            if key not in rem:
+                raise AssertionError("triangular solve lost its pivot")
+            vec = lie_power_vector(d, k, q)
+            c = coords[(d, k)] = rem[key] / vec.terms[key]
+            add_terms(rem, ((j, -c * v) for j, v in vec.terms.items()))
+    return LiePowerCoords(q, coords)
+
+
+@pytest.mark.parametrize("q", [SYM, QValue.rational(2), QValue.parse("-1/3"), QValue.rational(-1)], ids=str)
+def test_lie_power_vector_shifts_the_keys_of_the_power(q):
+    for k in range(9):
+        c = comm_power(k, q)
+        for d in range(-6, 7):
+            want = mono(d, 0, q) * c if d > 0 else c * mono(0, -d, q)
+            assert list(lie_power_vector(d, k, q).terms.items()) == list(want.terms.items()), (d, k)
+
+
+BASIS_QS = [SYM] + [QValue.parse(v) for v in ("2", "-1/3", "1/2", "-1", "3")]
+# coefficients with a q^-1 or a 1/(q+1): no codec takes them
+NON_Z_Q = [RationalFunction(IntPoly([1]), IntPoly([0, 1])), RationalFunction(IntPoly([2, -1]), IntPoly([1, 1]))]
+
+
+@st.composite
+def basis_inputs(draw, q):
+    """An element at q: Z[q] coefficients (up to the EDGES), constants, or
+    [A,B]^k B^d times one; with one coefficient a q^-1 or a 1/(q+1) or not."""
+    coeff = draw(st.sampled_from([z_poly, constants]))
+    if draw(st.booleans()):
+        k, d = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+        x = (comm_power(k, q) * mono(d, 0, q)).scale(draw(coeff))
+    else:
+        x = NormalElement(q, {})
+    keys = st.tuples(st.integers(0, 10), st.integers(0, 10))
+    x = x + NormalElement(q, draw(st.dictionaries(keys, coeff, max_size=5)))
+    if x.terms and draw(st.booleans()):
+        x.terms[draw(st.sampled_from(sorted(x.terms)))] = draw(st.sampled_from(NON_Z_Q))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_to_lie_power_basis_matches_the_field_loop(data):
+    q = data.draw(st.sampled_from(BASIS_QS))
+    x = data.draw(basis_inputs(q))
+    # the same coordinates in the same order
+    assert list(to_lie_power_basis(x).coords.items()) == list(reference_to_lie_power_basis(x).coords.items()), x
+    for part in grade(x).parts.values():
+        if q.is_symbolic:
+            fits = all(c.den.coeffs == (1,) for c in part.terms.values())
+            want = _exact_quotient if fits else _field_quotient
+        else:
+            fits = all(len(c.num.coeffs) < 2 and len(c.den.coeffs) == 1 for c in part.terms.values())
+            want = _rescaling_quotient if fits else _field_quotient
+        assert _basis_codec(part.terms, q)[2] is want
+
+
+def test_to_lie_power_basis_named_cases():
+    for q in BASIS_QS:
+        # a basis vector has one coordinate 1; the top of B^n A^n needs all
+        # of P = (q-1)^n q^C(n,2)
+        for d, k in ((0, 12), (3, 5), (-4, 7)):
+            assert to_lie_power_basis(lie_power_vector(d, k, q)).coords == {(d, k): RF_ONE}
+        for x in (nf_word("B" * 9 + "A" * 9, q), nf_word("A" * 6 + "B" * 8, q).scale(rf_int(-(2**70)))):
+            coords = to_lie_power_basis(x)
+            assert list(coords.coords.items()) == list(reference_to_lie_power_basis(x).coords.items())
+            assert from_lie_power_basis(coords) == x
+    # parts whose remainder is scaled up again after the first coordinate,
+    # which must be scaled with it
+    fr = lambda n, d=1: RationalFunction.from_fraction(Fraction(n, d))
+    for q, terms in (
+        (QValue.parse("-1/3"), {(8, 7): fr(-2), (7, 6): fr(7, 4)}),
+        (QValue.rational(3), {(7, 2): fr(3, 2), (8, 3): fr(-8)}),
+        (QValue.rational(3), {(4, 5): fr(-2, 3), (3, 4): fr(-9, 2)}),
+    ):
+        x = NormalElement(q, terms)
+        assert list(to_lie_power_basis(x).coords.items()) == list(reference_to_lie_power_basis(x).coords.items())
+    # a key off the pivots of its grading is never solved
+    with pytest.raises(AssertionError, match="lost its pivot"):
+        vector = lambda k: {j: f for (j, _), f in comm_power(k, SYM).terms.items()}
+        _back_substitute({(1, 0): RF_ONE, (2, 2): RF_ONE}, 0, vector, _field_quotient)
+    assert _rescaling_quotient(6, -4) == (-3, 2)
+    assert _rescaling_quotient(-8, 4) == (-2, 1)
+    assert _exact_quotient(-8, 4) == (-2, 1)
+    with pytest.raises(AssertionError, match="remainder"):
+        _exact_quotient(6, 4)
 
 
 # -- rendering ---------------------------------------------------------------------
