@@ -7,15 +7,20 @@ moves one B at a time through A^j by A^j B = q^j B A^j + {j}_q A^(j-1).  The
 PBW product is built on those expansions, and a word (`nf_word`) is the
 product of its B^m A^n runs.  All coefficients are exact elements of Q(q).
 
-A PBW product of four or more term pairs, and `lincomb` (a sum of c_i x_i),
-run on ints when every coefficient fits the codec of q; anything else takes
-the loop over Q(q).  At symbolic q each coefficient must be in Z[q] and is
-packed once into its value at q = 2^K (Kronecker substitution, K from a
-proven l1-norm bound).  At rational q each must be a constant n/d, and a
-term map is put over one common denominator D (`_encode`); `lincomb` also
-needs two pairs or more, and `lie.zero_basis_coords` solves on the same ints.
-Long packed values go to and from their digits in one bytes pass (`_pack`,
-`_unpack`), so the cost is linear in the length.
+A PBW product of four or more term pairs, a `commutator` xy - yx of as many,
+and `lincomb` (a sum of c_i x_i) run on ints when every coefficient fits the
+codec of q; anything else takes the loop over Q(q).  The product and the
+commutator share one kernel, `_packed_product`, which packs x and y once and
+sums both products of a commutator before it decodes a key.  At symbolic q
+each coefficient must be in Z[q] and is packed once into its value at
+q = 2^K (Kronecker substitution, K from a proven l1-norm bound).  At rational
+q each must be a constant n/d, and a term map is put over one common
+denominator D (`_encode`); `lincomb` also needs two pairs or more, and
+`lie.zero_basis_coords` solves on the same ints.  Packed values go to and
+from their balanced base-2^K digits (`_pack`, `_unpack`) by shift loops
+when short, and else in one pass linear in the length.  `_unpack` reads
+digits that are native 16, 32 or 64-bit integers with one memoryview cast,
+from 12 digits up, and wider digits by byte slices from 48 up.
 
 `to_lie_power_basis` back-substitutes each grading part in one pivot loop
 on the same codecs.  At symbolic q the part is first multiplied by
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 import math
 import re
+import struct
+import sys
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -259,26 +266,29 @@ def _product_terms(xt, yt, fp, one=None):
                 yield (m1 + m2, n1 + n2), c12 if one is None else c12 * one
 
 
-def _packed_product(xt, yt, q: QValue):
-    """``_product_terms`` of the term maps xt and yt on ints: the
-    coefficients and the expansions fp are packed with the codec of q, and
-    each key is decoded once; None if a coefficient does not fit that codec.
-    A packed sum is 0 exactly when the sum it encodes is, so the keys come
-    out in the order of the product over Q(q).
+def _packed_product(xt, yt, q: QValue, commute=False):
+    """``_product_terms`` of the term maps xt and yt on ints, or with commute
+    those of xt yt and of -(yt xt): x and y are packed once with the codec of
+    q, the expansions fp of both products once, and each key of the sum is
+    decoded once; None if a coefficient does not fit that codec.  A packed
+    sum is 0 exactly when the sum it encodes is, so a key is dropped where
+    the sum over Q(q) drops it.
 
     At symbolic q every coefficient must be in Z[q].  Each is packed once at
     q = 2^K (a ring homomorphism to Z) and unpacked once from balanced
     base-2^K digits.  No coefficient of a partial sum exceeds the l1 bound
-    |x|_1 |y|_1 max |f|_1 (f over the expansions used) < 2^(K-1), so the
-    digits are exact.  K is a multiple of 16, to keep the packed expansions
-    few.  At rational q every coefficient must be a constant: ``_encode``
-    puts xt and yt over their lcm denominators Dx and Dy, the expansions are
-    put over the lcm K of theirs, and each sum is an integer over Dx Dy K."""
-    nms = _reorderings(xt, yt)
+    p |x|_1 |y|_1 max |f|_1 (p the number of products, f over the expansions
+    of both) < 2^(K-1), so the digits are exact.  K is a multiple of 16, to
+    keep the packed expansions few.  At rational q every coefficient must be
+    a constant: ``_encode`` puts xt and yt over their lcm denominators Dx and
+    Dy, the expansions are put over the lcm K of theirs, and each sum, of xt
+    yt and of yt xt alike, is an integer over Dx Dy K."""
+    products = ((xt, yt), (yt, xt)) if commute else ((xt, yt),)
+    nms = {nm for a, b in products for nm in _reorderings(a, b)}
     if q.is_symbolic:
         if any(c.den.coeffs != (1,) for t in (xt, yt) for c in t.values()):
             return None
-        bound = max((_an_bk_scale(n, m, q) for n, m in nms), default=1)
+        bound = len(products) * max((_an_bk_scale(n, m, q) for n, m in nms), default=1)
         for t in (xt, yt):
             bound *= sum(sum(map(abs, c.num.coeffs)) for c in t.values())
         K = _width(bound)
@@ -292,7 +302,10 @@ def _packed_product(xt, yt, q: QValue):
         K = math.lcm(*(_an_bk_scale(n, m, q) for n, m in nms))
         one, decode = K, partial(_decode, Dx * Dy * K)
     fp = {(n, m): _an_bk_packed(n, m, q, K) for n, m in nms}
-    return decode(add_terms({}, _product_terms(xp, yp, fp, one)))
+    out = add_terms({}, _product_terms(xp, yp, fp, one))
+    if commute:
+        add_terms(out, _product_terms({key: -v for key, v in yp.items()}, xp, fp, one))
+    return decode(out)
 
 
 def _width(bound: int) -> int:
@@ -304,6 +317,14 @@ def _width(bound: int) -> int:
 # pass, linear in the length; below it the shift loops, quadratic in the
 # length but with less overhead per digit, are faster.
 _BYTES_FROM = 48
+# A digit of K in {16, 32, 64} bits is one native unsigned integer, so from
+# this many digits up ``_unpack`` reads them all with one memoryview cast,
+# which beats the shift loop from far fewer digits than byte slicing does.
+_CASTS = {8 * struct.calcsize(c): c for c in "HIQ"}
+_CAST_FROM = 12
+# to_bytes in native order gives the digits lowest first on a little-endian
+# machine and highest first on a big-endian one
+_LOWEST_FIRST = 1 if sys.byteorder == "little" else -1
 
 
 def _halves(K: int, n: int) -> int:
@@ -328,10 +349,15 @@ def _pack(cs, K: int) -> int:
 
 def _unpack(v: int, K: int) -> IntPoly:
     """The polynomial packed as v at q = 2^K, from balanced base-2^K digits
-    (each in [-2^(K-1), 2^(K-1)))."""
+    (each in [-2^(K-1), 2^(K-1))): v plus ``_halves`` has the unsigned
+    digits, read by one memoryview cast where K is a native integer width,
+    else by byte slices; short values take the shift loop."""
     half = 1 << (K - 1)
     # |v| < 2^(K m), m = v.bit_length() // K + 1, takes at most m + 1 digits
     n = v.bit_length() // K + 2
+    if n >= _CAST_FROM and K in _CASTS:
+        raw = (v + _halves(K, n)).to_bytes(n * K // 8, sys.byteorder)
+        return IntPoly([d - half for d in memoryview(raw).cast(_CASTS[K])[::_LOWEST_FIRST]])
     if n > _BYTES_FROM:
         B = K // 8
         raw = (v + _halves(K, n)).to_bytes(n * B, "little")
@@ -438,7 +464,14 @@ def nf_word(w: str, q: QValue) -> NormalElement:
 
 
 def commutator(x: NormalElement, y: NormalElement) -> NormalElement:
-    """[x, y] = xy - yx in H(q)."""
+    """[x, y] = xy - yx in H(q): from four term pairs up, both products are
+    summed in one ``_packed_product`` pass when the coefficients fit its
+    codec; otherwise as two products over Q(q)."""
+    q = _require_q(x, y)
+    if len(x.terms) * len(y.terms) > 3:
+        out = _packed_product(x.terms, y.terms, q, commute=True)
+        if out is not None:
+            return NormalElement(q, out, _raw=True)
     return x * y - y * x
 
 

@@ -4,11 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 from operator import eq
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qheis import heis
 from qheis.coeff import (
     IntPoly,
     QValue,
@@ -26,6 +28,7 @@ from qheis.heis import (
     NormalElement,
     QMismatchError,
     _BYTES_FROM,
+    _CAST_FROM,
     _an_bk_expansion,
     _back_substitute,
     _basis_codec,
@@ -329,11 +332,18 @@ def test_packed_product_named_cases():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_unpack_inverts_pack(data):
-    # lengths on both sides of the bytes-pass cut-off, digits at the edges of
-    # the balanced range [-2^(K-1), 2^(K-1))
-    K = data.draw(st.sampled_from([16, 32, 48, 352]))
+    # lengths on both sides of the cast and the bytes-pass cut-offs, digits
+    # at the edges of the balanced range [-2^(K-1), 2^(K-1)); 16, 32 and 64
+    # take the cast, 48 and 352 the byte slices
+    K = data.draw(st.sampled_from([16, 32, 48, 64, 352]))
     top = 2 ** (K - 1) - 1
-    n = data.draw(st.one_of(st.integers(0, 300), st.integers(_BYTES_FROM - 3, _BYTES_FROM + 3)))
+    n = data.draw(
+        st.one_of(
+            st.integers(0, 300),
+            st.integers(_CAST_FROM - 4, _CAST_FROM + 2),
+            st.integers(_BYTES_FROM - 3, _BYTES_FROM + 3),
+        )
+    )
     rng = data.draw(st.randoms(use_true_random=False))
     digits = [top, -top, -top - 1, 0, 1, -1, rng.randrange(-top, top)]
     cs = [rng.choice(digits) for _ in range(n)]
@@ -346,9 +356,10 @@ def test_unpack_inverts_pack(data):
 
 def test_pack_of_digits_outside_the_balanced_range():
     # 2^(K-1) is no balanced digit: _pack still evaluates at q = 2^K, and
-    # _unpack reads the value back in balanced digits
-    K = 16
-    for n in (_BYTES_FROM - 1, _BYTES_FROM, 200):
+    # _unpack reads the value back in balanced digits, by the shift loop, the
+    # cast (K = 16, 32, 64) or the byte slices (K = 48)
+    lengths = (2, _CAST_FROM - 3, _CAST_FROM, _BYTES_FROM - 1, _BYTES_FROM, 200)
+    for K, n in itertools.product((16, 32, 48, 64), lengths):
         cs = [2 ** (K - 1)] * n
         v = _pack(cs, K)
         assert v == sum(c << K * i for i, c in enumerate(cs))
@@ -496,6 +507,85 @@ def test_lincomb_named_cases():
     assert lincomb(pairs, SYM) == reference_lincomb(pairs, SYM)
     with pytest.raises(QMismatchError):
         lincomb([(RF_ONE, mono(0, 1, QValue.rational(2)))], SYM)
+
+
+def kernel_calls(x, y):
+    """commutator(x, y), and for each fused ``_packed_product`` call it made
+    whether that call took the ints (and not the Q(q) fallback)."""
+    calls = []
+
+    def spy(xt, yt, q, commute=False):
+        out = _packed_product(xt, yt, q, commute)
+        if commute:
+            calls.append(out is not None)
+        return out
+
+    with mock.patch.object(heis, "_packed_product", spy):
+        return commutator(x, y), calls
+
+
+@st.composite
+def commutator_operands(draw):
+    """(x, y, fits): two elements at one q, and whether every coefficient
+    fits the codec of q.  Either may be empty or have one term; y may be x
+    itself, or x a scalar times I, so that xy - yx cancels to 0."""
+    q = draw(st.one_of(st.just(SYM), st.sampled_from(RATIONAL_QS)))
+    coeffs = z_poly if q == SYM else constants
+    terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), coeffs, min_size=1, max_size=5)
+    x, y = (NormalElement(q, {} if draw(st.integers(0, 7)) == 0 else draw(terms)) for _ in "xy")
+    shape = draw(st.sampled_from(["any", "any", "any", "equal", "scalar"]))
+    if shape == "equal":
+        y = x
+    elif shape == "scalar":
+        x = mono(0, 0, q, x.coeff(*min(x.terms)) if x.terms else RF_ONE)
+    fits = not (y.terms and draw(st.integers(0, 3)) == 0)
+    if not fits:
+        # no Z[q] value at symbolic q, no constant at rational q
+        bad = draw(st.sampled_from(NON_Z_Q)) if q == SYM else POLY
+        y = NormalElement(q, {**y.terms, draw(st.sampled_from(sorted(y.terms))): bad})
+    return (x, y, fits) if draw(st.booleans()) else (y, x, fits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutator_operands())
+def test_commutator_matches_the_two_products(operands):
+    x, y, fits = operands
+    want = (x * y - y * x).terms
+    got, calls = kernel_calls(x, y)
+    assert got.terms == want, (x, y)
+    assert all(not c.is_zero() for c in got.terms.values())
+    # four term pairs or more try the kernel, which takes every input that
+    # fits the codec of q
+    assert calls == ([fits] if len(x.terms) * len(y.terms) > 3 else [])
+    # below that threshold the kernel is exact as well
+    packed = _packed_product(x.terms, y.terms, x.q, commute=True)
+    assert packed == (want if fits else None), (x, y)
+
+
+def test_commutator_named_cases():
+    for q in [SYM] + RATIONAL_QS:
+        a, b = mono(0, 1, q), mono(1, 0, q)
+        assert commutator(a, b) == comm_power(1, q)
+        assert _packed_product(a.terms, b.terms, q, commute=True) == comm_power(1, q).terms
+        for m in range(5):
+            for n in range(5):
+                for lhs, rhs in adad_sides(m, n, q):
+                    assert lhs == rhs, (q, m, n)
+                # the adjoint operands have under four term pairs: run the
+                # kernel on the first identity as well
+                (lhs, rhs), _ = adad_sides(m, n, q)
+                got = _packed_product(bracketed_word("BA", q).terms, mono(m, n, q).terms, q, commute=True)
+                assert got == rhs.terms, (q, m, n)
+    # [cA, dB] = cd (q - 1) BA + cd I with cd next to each power of two,
+    # where a K too narrow by one bit would read a digit wrong
+    for c in (1, -1, 3):
+        for d in EDGES:
+            x, y = mono(0, 1, c=rf_int(c)), mono(1, 0, c=rf_int(d))
+            want = (x * y - y * x).terms
+            assert _packed_product(x.terms, y.terms, SYM, commute=True) == want
+            assert _packed_product(y.terms, x.terms, SYM, commute=True) == (y * x - x * y).terms
+    with pytest.raises(QMismatchError):
+        commutator(mono(0, 1), mono(1, 0, QValue.rational(2)))
 
 
 # -- reordering formulas ---------------------------------------------------------
