@@ -170,12 +170,6 @@ class IntPoly:
             raise CoefficientError("polynomial not divisible by q^%d" % k)
         return IntPoly(self.coeffs[k:])
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def div_exact(self, other: "IntPoly") -> "IntPoly":
         """Exact polynomial division; raises if not exact over Z[q]."""
         if other.is_zero():
@@ -290,6 +284,16 @@ def _split_q_q1(cs, a_max: int, b_max: int):
 def _q_q1_poly(c: int, a: int, b: int) -> IntPoly:
     """c*q^a*(q - 1)^b."""
     return IntPoly((0,) * a + tuple(c * (-1) ** (b - i) * math.comb(b, i) for i in range(b + 1)))
+
+
+def _over_q_q1(num: IntPoly, a: int, b: int) -> "RationalFunction":
+    """num/(q^a (q - 1)^b) in the canonical form of ``_normalize``.  That
+    denominator is primitive with leading coefficient 1, so only the factors
+    q and q - 1 it shares with num cancel: ``_split_q_q1`` on num alone."""
+    if not num.coeffs:
+        return RF_ZERO
+    cs, v, w = _split_q_q1(num.coeffs, a, b)
+    return RationalFunction(IntPoly(cs) if v or w else num, _q_q1_poly(1, a - v, b - w), _raw=True)
 
 
 def _normalize(num: IntPoly, den: IntPoly):
@@ -468,18 +472,6 @@ class RationalFunction:
             base = base * base
             n >>= 1
         return result
-
-    # -- specialization ------------------------------------------------
-
-    def specialize(self, q0) -> Fraction:
-        """Evaluation homomorphism at q = q0 (an exact rational)."""
-        q0 = Fraction(q0)
-        d = self.den.evaluate(q0)
-        if d == 0:
-            raise CoefficientError(
-                "denominator (%s) vanishes at q = %s" % (self.den.render(), q0)
-            )
-        return self.num.evaluate(q0) / d
 
     # -- comparison / display -------------------------------------------
 

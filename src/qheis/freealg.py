@@ -4,7 +4,7 @@ sign-reversal anti-automorphism used as a Lie-polynomial test."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict
 
 from .coeff import RF_ONE, RationalFunction, add_terms
 from .words import Leaf, LieMonomial, check_word, render_word
@@ -36,10 +36,6 @@ class FreeElement:
         if coeff.is_zero():
             return FreeElement.zero()
         return FreeElement({w: coeff}, _raw=True)
-
-    @staticmethod
-    def from_terms(pairs: Iterable[Tuple[str, RationalFunction]]) -> "FreeElement":
-        return FreeElement(add_terms({}, ((check_word(w), c) for w, c in pairs)), _raw=True)
 
     # -- vector space ------------------------------------------------------
 

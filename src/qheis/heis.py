@@ -10,17 +10,18 @@ product of its B^m A^n runs.  All coefficients are exact elements of Q(q).
 A PBW product of four or more term pairs, a `commutator` xy - yx of as many,
 and `lincomb` (a sum of c_i x_i) run on ints when every coefficient fits the
 codec of q; anything else takes the loop over Q(q).  The product and the
-commutator share one kernel, `_packed_product`, which packs x and y once and
-sums both products of a commutator before it decodes a key.  At symbolic q
-each coefficient must be in Z[q] and is packed once into its value at
-q = 2^K (Kronecker substitution, K from a proven l1-norm bound).  At rational
-q each must be a constant n/d, and a term map is put over one common
-denominator D (`_encode`); `lincomb` also needs two pairs or more, and
-`lie.zero_basis_coords` solves on the same ints.  Packed values go to and
-from their balanced base-2^K digits (`_pack`, `_unpack`) by shift loops
-when short, and else in one pass linear in the length.  `_unpack` reads
-digits that are native 16, 32 or 64-bit integers with one memoryview cast,
-from 12 digits up, and wider digits by byte slices from 48 up.
+commutator share one kernel, `_packed_product`, which sums both products of
+a commutator before it decodes a key.  At symbolic q each coefficient must
+be in Z[q] and is packed into its value at q = 2^K (Kronecker substitution,
+K from a proven l1-norm bound).  At rational q each must be a constant n/d,
+and a term map is put over one common denominator D (`_encode`); `lincomb`
+also needs two pairs or more, and `lie.zero_basis_coords` solves on the same
+ints.  An element keeps what the kernels derive from it (`_codec`), so a
+cached element is packed once per width K for the whole process.  Packed
+values go to and from their balanced base-2^K digits (`_pack`, `_unpack`)
+by shift loops below 4 kbit, else in one pass linear in the length, and
+native 16, 32 or 64-bit digits unpack by one memoryview cast.  A sum over
+q^a (q-1)^b decodes by `coeff._over_q_q1`, not the generic `_normalize`.
 
 `to_lie_power_basis` back-substitutes each grading part in one pivot loop
 on the same codecs.  At symbolic q the part is first multiplied by
@@ -51,6 +52,7 @@ from .coeff import (
     QValue,
     RationalFunction,
     _const,
+    _over_q_q1,
     _q_q1_poly,
     _split_q_q1,
     add_terms,
@@ -86,15 +88,20 @@ _P_ONE = IntPoly.one()
 
 
 class NormalElement:
-    """Element of H(q) in PBW coordinates: finite map (m, n) -> coeff of B^m A^n."""
+    """Element of H(q) in PBW coordinates: finite map (m, n) -> coeff of B^m A^n.
 
-    __slots__ = ("q", "terms")
+    An element is immutable once built: nothing writes to ``terms`` after
+    the constructor, because ``_packs`` keeps what the packed kernels derive
+    from them (``_codec``), so a cached element is packed once per width."""
+
+    __slots__ = ("q", "terms", "_packs")
 
     def __init__(self, q: QValue, terms: Dict[MonoKey, RationalFunction] = None, *, _raw=False):
         self.q = q
         if terms is None:
             terms = {}
         self.terms = terms if _raw else add_terms({}, terms.items())
+        self._packs = None
 
     # -- constructors --------------------------------------------------
 
@@ -139,7 +146,7 @@ class NormalElement:
         # q (else None), multiply ints; below four term pairs the loop over
         # Q(q) is faster
         if len(self.terms) * len(other.terms) > 3:
-            out = _packed_product(self.terms, other.terms, q)
+            out = _packed_product(self, other)
             if out is not None:
                 return NormalElement(q, out, _raw=True)
         fp = {(n, m): _an_bk_expansion(n, m, q) for n, m in _reorderings(self.terms, other.terms)}
@@ -230,7 +237,10 @@ def _encode(terms):
     if any(len(c.num.coeffs) > 1 or len(c.den.coeffs) > 1 for c in terms.values()):
         return None
     D = math.lcm(*(c.den.coeffs[0] for c in terms.values()))
-    return D, {key: sum(c.num.coeffs) * (D // c.den.coeffs[0]) for key, c in terms.items()}
+    # n itself where d = D, so that the ints ``_codec`` keeps are the
+    # coefficients' own objects, not copies
+    nds = ((key, (c.num.coeffs or (0,))[0], c.den.coeffs[0]) for key, c in terms.items())
+    return D, {key: n if d == D else n * (D // d) for key, n, d in nds}
 
 
 def _decode(D: int, out):
@@ -266,39 +276,61 @@ def _product_terms(xt, yt, fp, one=None):
                 yield (m1 + m2, n1 + n2), c12 if one is None else c12 * one
 
 
-def _packed_product(xt, yt, q: QValue, commute=False):
-    """``_product_terms`` of the term maps xt and yt on ints, or with commute
-    those of xt yt and of -(yt xt): x and y are packed once with the codec of
-    q, the expansions fp of both products once, and each key of the sum is
-    decoded once; None if a coefficient does not fit that codec.  A packed
-    sum is 0 exactly when the sum it encodes is, so a key is dropped where
-    the sum over Q(q) drops it.
+def _codec(x: NormalElement):
+    """What the packed kernels read of x, derived on first use and kept in
+    x._packs: at symbolic q [the sum and the max of the l1 norms of its
+    coefficients, {K: ``_packed_terms(x, K)``}], at rational q the
+    ``_encode`` pair (D, ints); False if a coefficient does not fit the
+    codec of q (is not in Z[q], is not a constant)."""
+    if x._packs is None:
+        cs = x.terms.values()
+        if not x.q.is_symbolic:
+            x._packs = _encode(x.terms) or False
+        elif all(c.den.coeffs == (1,) for c in cs):
+            norms = [sum(map(abs, c.num.coeffs)) for c in cs]
+            x._packs = [sum(norms), max(norms, default=0), {}]
+        else:
+            x._packs = False
+    return x._packs
 
-    At symbolic q every coefficient must be in Z[q].  Each is packed once at
+
+def _packed_terms(x: NormalElement, K: int):
+    """x.terms with each coefficient (in Z[q]) packed at q = 2^K, built once
+    per K and kept in ``_codec(x)``."""
+    packs = _codec(x)[2]
+    if K not in packs:
+        packs[K] = {key: _pack(c.num.coeffs, K) for key, c in x.terms.items()}
+    return packs[K]
+
+
+def _packed_product(x: NormalElement, y: NormalElement, commute=False):
+    """``_product_terms`` of x and y on ints, or with commute those of x y and
+    of -(y x): x and y are read packed from ``_codec`` (packed once per
+    element and width), the expansions fp of both products are packed once,
+    and each key of the sum is decoded once; None if a coefficient does not
+    fit the codec of q.  A packed sum is 0 exactly when the sum it encodes
+    is, so a key is dropped where the sum over Q(q) drops it.
+
+    At symbolic q every coefficient must be in Z[q].  Each is packed at
     q = 2^K (a ring homomorphism to Z) and unpacked once from balanced
     base-2^K digits.  No coefficient of a partial sum exceeds the l1 bound
     p |x|_1 |y|_1 max |f|_1 (p the number of products, f over the expansions
     of both) < 2^(K-1), so the digits are exact.  K is a multiple of 16, to
     keep the packed expansions few.  At rational q every coefficient must be
-    a constant: ``_encode`` puts xt and yt over their lcm denominators Dx and
-    Dy, the expansions are put over the lcm K of theirs, and each sum, of xt
-    yt and of yt xt alike, is an integer over Dx Dy K."""
-    products = ((xt, yt), (yt, xt)) if commute else ((xt, yt),)
+    a constant: ``_encode`` puts x and y over their lcm denominators Dx and
+    Dy, the expansions are put over the lcm K of theirs, and each sum, of x y
+    and of y x alike, is an integer over Dx Dy K."""
+    q, cx, cy = x.q, _codec(x), _codec(y)
+    if not (cx and cy):
+        return None
+    products = ((x.terms, y.terms), (y.terms, x.terms)) if commute else ((x.terms, y.terms),)
     nms = {nm for a, b in products for nm in _reorderings(a, b)}
     if q.is_symbolic:
-        if any(c.den.coeffs != (1,) for t in (xt, yt) for c in t.values()):
-            return None
-        bound = len(products) * max((_an_bk_scale(n, m, q) for n, m in nms), default=1)
-        for t in (xt, yt):
-            bound *= sum(sum(map(abs, c.num.coeffs)) for c in t.values())
-        K = _width(bound)
-        xp, yp = ({key: _pack(c.num.coeffs, K) for key, c in t.items()} for t in (xt, yt))
+        K = _width(len(products) * max((_an_bk_scale(n, m, q) for n, m in nms), default=1) * cx[0] * cy[0])
+        xp, yp = _packed_terms(x, K), _packed_terms(y, K)
         one, decode = None, lambda out: {key: RationalFunction(_unpack(v, K), _P_ONE, _raw=True) for key, v in out.items()}
     else:
-        ex, ey = _encode(xt), _encode(yt)
-        if ex is None or ey is None:
-            return None
-        (Dx, xp), (Dy, yp) = ex, ey
+        (Dx, xp), (Dy, yp) = cx, cy
         K = math.lcm(*(_an_bk_scale(n, m, q) for n, m in nms))
         one, decode = K, partial(_decode, Dx * Dy * K)
     fp = {(n, m): _an_bk_packed(n, m, q, K) for n, m in nms}
@@ -313,10 +345,10 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 16) // 16 * 16
 
 
-# From this many base-2^K digits up, ``_pack`` and ``_unpack`` make one bytes
-# pass, linear in the length; below it the shift loops, quadratic in the
-# length but with less overhead per digit, are faster.
-_BYTES_FROM = 48
+# From this many bits (digits times K) up, ``_pack`` and ``_unpack`` make one
+# bytes pass, linear in the length; below it the shift loops are faster (in
+# timeit from about 2-3 kbit for K = 16 to 64, 5-10 kbit for K = 352).
+_BYTES_FROM_BITS = 4096
 # A digit of K in {16, 32, 64} bits is one native unsigned integer, so from
 # this many digits up ``_unpack`` reads them all with one memoryview cast,
 # which beats the shift loop from far fewer digits than byte slicing does.
@@ -336,7 +368,7 @@ def _halves(K: int, n: int) -> int:
 
 def _pack(cs, K: int) -> int:
     """The polynomial with coefficients cs (lowest first) at q = 2^K."""
-    if len(cs) >= _BYTES_FROM:
+    if len(cs) * K >= _BYTES_FROM_BITS:
         B, half = K // 8, 1 << (K - 1)
         try:
             raw = b"".join((c + half).to_bytes(B, "little") for c in cs)
@@ -358,7 +390,7 @@ def _unpack(v: int, K: int) -> IntPoly:
     if n >= _CAST_FROM and K in _CASTS:
         raw = (v + _halves(K, n)).to_bytes(n * K // 8, sys.byteorder)
         return IntPoly([d - half for d in memoryview(raw).cast(_CASTS[K])[::_LOWEST_FIRST]])
-    if n > _BYTES_FROM:
+    if n * K > _BYTES_FROM_BITS:
         B = K // 8
         raw = (v + _halves(K, n)).to_bytes(n * B, "little")
         return IntPoly([int.from_bytes(raw[i : i + B], "little") - half for i in range(0, n * B, B)])
@@ -371,8 +403,9 @@ def _unpack(v: int, K: int) -> IntPoly:
 
 
 def _lincomb_codec(pairs, q: QValue):
-    """(cs, xs, decode) for ``lincomb``: each c and each x.terms as ints, or
-    None when a coefficient does not fit the codec of q.
+    """(cs, xs, decode) for ``lincomb``: each c and each x.terms as ints (the
+    latter read from ``_codec``), or None when a coefficient does not fit the
+    codec of q.
 
     At symbolic q every coefficient of every x must be in Z[q] and every
     c.den q^a (q - 1)^b, as in all of H(q)'s closed forms.  The c are brought
@@ -386,14 +419,14 @@ def _lincomb_codec(pairs, q: QValue):
         if len(pairs) < 2:
             return None
         ec = _encode(dict(enumerate(c for c, _ in pairs)))
-        xs = [] if ec is None else [_encode(x.terms) for _, x in pairs]
-        if not xs or None in xs:
+        xs = [] if ec is None else [_codec(x) for _, x in pairs]
+        if not xs or not all(xs):
             return None
         Dc, cs = ec
         L = math.lcm(*(D for D, _ in xs))
         cs = [c * (L // D) for c, (D, _) in zip(cs.values(), xs)]
         return cs, [xp for _, xp in xs], partial(_decode, Dc * L)
-    if not all(f.den.coeffs == (1,) for _, x in pairs for f in x.terms.values()):
+    if not all(_codec(x) for _, x in pairs):
         return None
     split = {d: _split_q_q1(d.coeffs, len(d.coeffs), len(d.coeffs)) for d in {c.den for c, _ in pairs}}
     if not all(tuple(r) == (1,) for r, _, _ in split.values()):
@@ -401,12 +434,10 @@ def _lincomb_codec(pairs, q: QValue):
     A = max((a for _, a, _ in split.values()), default=0)
     B = max((b for _, _, b in split.values()), default=0)
     nums = [c.num * _q_q1_poly(1, A - split[c.den][1], B - split[c.den][2]) for c, _ in pairs]
-    norm = max((sum(map(abs, f.num.coeffs)) for _, x in pairs for f in x.terms.values()), default=0)
+    norm = max((_codec(x)[1] for _, x in pairs), default=0)
     K = _width(sum(sum(map(abs, n.coeffs)) for n in nums) * norm)
-    xs = [{key: _pack(f.num.coeffs, K) for key, f in x.terms.items()} for _, x in pairs]
-    den = _q_q1_poly(1, A, B)
-    decode = lambda out: {k: RationalFunction(_unpack(v, K), den, _raw=A == B == 0) for k, v in out.items()}
-    return [_pack(n.coeffs, K) for n in nums], xs, decode
+    decode = lambda out: {k: _over_q_q1(_unpack(v, K), A, B) for k, v in out.items()}
+    return [_pack(n.coeffs, K) for n in nums], [_packed_terms(x, K) for _, x in pairs], decode
 
 
 def lincomb(pairs, q: QValue) -> NormalElement:
@@ -469,7 +500,7 @@ def commutator(x: NormalElement, y: NormalElement) -> NormalElement:
     codec; otherwise as two products over Q(q)."""
     q = _require_q(x, y)
     if len(x.terms) * len(y.terms) > 3:
-        out = _packed_product(x.terms, y.terms, q, commute=True)
+        out = _packed_product(x, y, commute=True)
         if out is not None:
             return NormalElement(q, out, _raw=True)
     return x * y - y * x
@@ -529,7 +560,9 @@ def comm_power(k: int, q: QValue) -> NormalElement:
         one = NormalElement.one(q)
         ba = NormalElement.monomial(1, 1, q, q.scalar() - RF_ONE)
         return ba + one
-    return comm_power(k - 1, q) * comm_power(1, q)
+    # a fresh element over the terms of [A,B]^(k-1): the packs this step
+    # takes die with it instead of staying in the cache beside the terms
+    return NormalElement(q, comm_power(k - 1, q).terms, _raw=True) * comm_power(1, q)
 
 
 REORDER_KINDS = ("AB^n", "A^nB", "BA^n", "B^nA")
@@ -704,7 +737,7 @@ def _basis_codec(terms, q: QValue):
         K = _width(bound * (1 + sum(_comm_power_scale(k, q) for k in range(kmax + 1))))
         p = _pack(P.coeffs, K)
         rem = {key: _pack(c.num.coeffs, K) * p for key, c in terms.items()}
-        decode = lambda sol, s: {k: RationalFunction(_unpack(c, K), P) for k, c in sol.items()}
+        decode = lambda sol, s: {k: _over_q_q1(_unpack(c, K), binom2(kmax), kmax) for k, c in sol.items()}
         return rem, lambda k: _comm_power_packed(k, q, K), _exact_quotient, decode
     coded = None if q.is_symbolic else _encode(terms)
     if coded is not None:

@@ -33,16 +33,6 @@ class Entry:
             "residual": self.residual,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Entry":
-        return Entry(
-            tuple=tuple(d["tuple"]),
-            status=d["status"],
-            lhs=d.get("lhs", ""),
-            rhs=d.get("rhs", ""),
-            residual=d.get("residual", ""),
-        )
-
 
 @dataclass
 class Report:
@@ -82,19 +72,6 @@ class Report:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @staticmethod
-    def from_dict(d: dict) -> "Report":
-        return Report(
-            suite=d["suite"],
-            q=d["q"],
-            bounds={k: int(v) for k, v in d["bounds"].items()},
-            entries=[Entry.from_dict(e) for e in d["entries"]],
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Report":
-        return Report.from_dict(json.loads(text))
 
     def render_text(self, verbose_fail: bool = True) -> str:
         lines = [

@@ -11,8 +11,9 @@ import pytest
 from qheis.cli import _build_parser, _check_writable, main
 from qheis.coeff import QValue
 from qheis.lie import KNOWN_DISCREPANCIES, table1_cells
-from qheis.reports import Report
 from qheis.suites import SUITES, SuiteConfig, run_suite
+
+from helpers import report_from_json
 
 EXPECTED_SUITES = {
     "qcomb", "reorder", "shift", "bnan-anbn", "adad", "fban", "beta-closed",
@@ -138,7 +139,7 @@ def test_bigcomrel_passes_and_covers_all_cases():
 def test_json_report_roundtrip(tmp_path):
     rep = run("fban", bounds={"n": 4})
     text = rep.to_json()
-    back = Report.from_json(text)
+    back = report_from_json(text)
     assert back == rep
     data = json.loads(text)
     assert set(data) == {"suite", "q", "bounds", "entries", "summary"}

@@ -27,7 +27,7 @@ from qheis.heis import (
     LiePowerCoords,
     NormalElement,
     QMismatchError,
-    _BYTES_FROM,
+    _BYTES_FROM_BITS,
     _CAST_FROM,
     _an_bk_expansion,
     _back_substitute,
@@ -57,6 +57,7 @@ from qheis.heis import (
     to_lie_power_basis,
 )
 from qheis.words import bracketing, enumerate_regular
+from helpers import free_from_terms
 from rewriting import LEFTMOST, RIGHTMOST, _word_normal_form, normal_form
 
 SYM = QValue()
@@ -71,7 +72,7 @@ def mono(m, n, q=SYM, c=RF_ONE):
 
 def embed(x):
     """Re-read a PBW expression as a free-algebra element (B's then A's)."""
-    return FreeElement.from_terms(("B" * m + "A" * n, c) for (m, n), c in x.terms.items())
+    return free_from_terms(("B" * m + "A" * n, c) for (m, n), c in x.terms.items())
 
 
 def rand_normal(rng, q=SYM, support=6, nterms=5):
@@ -280,7 +281,7 @@ def assert_same_product(x, y):
     # same terms in the same order, so every later loop over them agrees too;
     # small products skip packing, so the packed product is also called itself
     assert list((x * y).terms.items()) == want, (x, y)
-    assert list(_packed_product(x.terms, y.terms, SYM).items()) == want, (x, y)
+    assert list(_packed_product(x, y).items()) == want, (x, y)
 
 
 # integers next to each power of two, where a packing too narrow by one bit
@@ -332,16 +333,18 @@ def test_packed_product_named_cases():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_unpack_inverts_pack(data):
-    # lengths on both sides of the cast and the bytes-pass cut-offs, digits
-    # at the edges of the balanced range [-2^(K-1), 2^(K-1)); 16, 32 and 64
-    # take the cast, 48 and 352 the byte slices
+    # lengths on both sides of the cast and the bytes-pass cut-offs (the
+    # latter at _BYTES_FROM_BITS / K digits: 256 at K = 16, 12 at K = 352),
+    # digits at the edges of the balanced range [-2^(K-1), 2^(K-1)); 16, 32
+    # and 64 unpack by the cast, 48 and 352 by the byte slices
     K = data.draw(st.sampled_from([16, 32, 48, 64, 352]))
     top = 2 ** (K - 1) - 1
+    cut = -(-_BYTES_FROM_BITS // K)
     n = data.draw(
         st.one_of(
             st.integers(0, 300),
             st.integers(_CAST_FROM - 4, _CAST_FROM + 2),
-            st.integers(_BYTES_FROM - 3, _BYTES_FROM + 3),
+            st.integers(cut - 3, cut + 3),
         )
     )
     rng = data.draw(st.randoms(use_true_random=False))
@@ -357,13 +360,15 @@ def test_unpack_inverts_pack(data):
 def test_pack_of_digits_outside_the_balanced_range():
     # 2^(K-1) is no balanced digit: _pack still evaluates at q = 2^K, and
     # _unpack reads the value back in balanced digits, by the shift loop, the
-    # cast (K = 16, 32, 64) or the byte slices (K = 48)
-    lengths = (2, _CAST_FROM - 3, _CAST_FROM, _BYTES_FROM - 1, _BYTES_FROM, 200)
-    for K, n in itertools.product((16, 32, 48, 64), lengths):
-        cs = [2 ** (K - 1)] * n
-        v = _pack(cs, K)
-        assert v == sum(c << K * i for i, c in enumerate(cs))
-        assert _unpack(v, K).coeffs == tuple([-(2 ** (K - 1))] + [1 - 2 ** (K - 1)] * (n - 1) + [1])
+    # cast (K = 16, 32, 64) or the byte slices (K = 48, 352), on both sides
+    # of the bytes-pass cut-off
+    for K in (16, 32, 48, 64, 352):
+        cut = -(-_BYTES_FROM_BITS // K)
+        for n in sorted({2, _CAST_FROM - 3, _CAST_FROM, cut - 1, cut, cut + 1, 200}):
+            cs = [2 ** (K - 1)] * n
+            v = _pack(cs, K)
+            assert v == sum(c << K * i for i, c in enumerate(cs))
+            assert _unpack(v, K).coeffs == tuple([-(2 ** (K - 1))] + [1 - 2 ** (K - 1)] * (n - 1) + [1])
 
 
 def test_non_unit_denominator_takes_the_schoolbook_path():
@@ -371,7 +376,7 @@ def test_non_unit_denominator_takes_the_schoolbook_path():
     x = mono(0, 2, c=RationalFunction(IntPoly([1]), IntPoly([-1, 1]))) + mono(0, 1)
     y = mono(3, 0) + mono(1, 1) + mono(0, 0, c=rf_int(5))
     for a, b in ((x, y), (y, x)):
-        assert _packed_product(a.terms, b.terms, SYM) is None
+        assert _packed_product(a, b) is None
         assert list((a * b).terms.items()) == list(schoolbook_product(a, b).terms.items())
 
 
@@ -406,7 +411,7 @@ def test_constant_q_product_matches_schoolbook(data):
     x, y = data.draw(const_elements(q, polynomial)), data.draw(const_elements(q))
     want = list(schoolbook_product(x, y).terms.items())
     assert list((x * y).terms.items()) == want, (x, y)
-    packed = _packed_product(x.terms, y.terms, q)
+    packed = _packed_product(x, y)
     if polynomial and x.terms:
         assert packed is None
     else:
@@ -417,16 +422,16 @@ def test_constant_q_product_named_cases():
     for q in RATIONAL_QS:
         zero = NormalElement.zero(q)
         x = mono(3, 5, q, RationalFunction.from_fraction(Fraction(-7, 6)))
-        assert _packed_product(x.terms, zero.terms, q) == {} == _packed_product(zero.terms, x.terms, q)
+        assert _packed_product(x, zero) == {} == _packed_product(zero, x)
         # (A/3 + 1/2)(3B - 2) = q BA + 3B/2 - 2A/3: the I of AB cancels to 0
         a1 = mono(0, 1, q, RationalFunction.from_fraction(Fraction(1, 3))) + mono(0, 0, q, RationalFunction.from_fraction(Fraction(1, 2)))
         b1 = mono(1, 0, q, rf_int(3)) - mono(0, 0, q, rf_int(2))
-        got = _packed_product(a1.terms, b1.terms, q)
+        got = _packed_product(a1, b1)
         assert (0, 0) not in got
         assert list(got.items()) == list(schoolbook_product(a1, b1).terms.items())
         # a polynomial coefficient sends the whole product to the loop
         y = a1 + mono(2, 2, q, POLY)
-        assert _packed_product(y.terms, b1.terms, q) is None
+        assert _packed_product(y, b1) is None
         assert list((y * b1).terms.items()) == list(schoolbook_product(y, b1).terms.items())
 
 
@@ -514,8 +519,8 @@ def kernel_calls(x, y):
     whether that call took the ints (and not the Q(q) fallback)."""
     calls = []
 
-    def spy(xt, yt, q, commute=False):
-        out = _packed_product(xt, yt, q, commute)
+    def spy(x, y, commute=False):
+        out = _packed_product(x, y, commute)
         if commute:
             calls.append(out is not None)
         return out
@@ -558,7 +563,7 @@ def test_commutator_matches_the_two_products(operands):
     # fits the codec of q
     assert calls == ([fits] if len(x.terms) * len(y.terms) > 3 else [])
     # below that threshold the kernel is exact as well
-    packed = _packed_product(x.terms, y.terms, x.q, commute=True)
+    packed = _packed_product(x, y, commute=True)
     assert packed == (want if fits else None), (x, y)
 
 
@@ -566,7 +571,7 @@ def test_commutator_named_cases():
     for q in [SYM] + RATIONAL_QS:
         a, b = mono(0, 1, q), mono(1, 0, q)
         assert commutator(a, b) == comm_power(1, q)
-        assert _packed_product(a.terms, b.terms, q, commute=True) == comm_power(1, q).terms
+        assert _packed_product(a, b, commute=True) == comm_power(1, q).terms
         for m in range(5):
             for n in range(5):
                 for lhs, rhs in adad_sides(m, n, q):
@@ -574,7 +579,7 @@ def test_commutator_named_cases():
                 # the adjoint operands have under four term pairs: run the
                 # kernel on the first identity as well
                 (lhs, rhs), _ = adad_sides(m, n, q)
-                got = _packed_product(bracketed_word("BA", q).terms, mono(m, n, q).terms, q, commute=True)
+                got = _packed_product(bracketed_word("BA", q), mono(m, n, q), commute=True)
                 assert got == rhs.terms, (q, m, n)
     # [cA, dB] = cd (q - 1) BA + cd I with cd next to each power of two,
     # where a K too narrow by one bit would read a digit wrong
@@ -582,10 +587,51 @@ def test_commutator_named_cases():
         for d in EDGES:
             x, y = mono(0, 1, c=rf_int(c)), mono(1, 0, c=rf_int(d))
             want = (x * y - y * x).terms
-            assert _packed_product(x.terms, y.terms, SYM, commute=True) == want
-            assert _packed_product(y.terms, x.terms, SYM, commute=True) == (y * x - x * y).terms
+            assert _packed_product(x, y, commute=True) == want
+            assert _packed_product(y, x, commute=True) == (y * x - x * y).terms
     with pytest.raises(QMismatchError):
         commutator(mono(0, 1), mono(1, 0, QValue.rational(2)))
+
+
+# coefficients c of lincomb whose denominators the packed path takes
+LINCOMB_CS = [RationalFunction(IntPoly([3, -1]), d) for d in LINCOMB_DENS[:4]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kept_packs_match_fresh_elements_and_the_field_loop(data):
+    # x meets a small partner (coefficients 1) and a large one (near 2^70),
+    # twice each, on both sides: at symbolic q each product, commutator and
+    # lincomb packs x at another width, and the second round reads the packs
+    # kept from the first.  Fresh copies start with no packs, and the loops
+    # over Q(q) pack nothing.
+    q = data.draw(st.one_of(st.just(SYM), st.sampled_from(RATIONAL_QS)))
+    coeffs, cs = (z_poly, st.sampled_from(LINCOMB_CS)) if q.is_symbolic else (constants, constants)
+    keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    x = NormalElement(q, data.draw(st.dictionaries(keys, coeffs.filter(bool), min_size=2, max_size=5)))
+    small = mono(1, 0, q) + mono(0, 1, q)
+    large = mono(2, 1, q, rf_int(2**70 - 1)) + mono(0, 3, q, rf_int(-(2**69)))
+    c = data.draw(cs)
+    for y in (small, large, small, large):
+        fx, fy = NormalElement(q, dict(x.terms)), NormalElement(q, dict(y.terms))
+        for a, b, fa, fb in ((x, y, fx, fy), (y, x, fy, fx)):
+            want = schoolbook_product(fa, fb)
+            assert list((a * b).terms.items()) == list((fa * fb).terms.items()) == list(want.terms.items())
+            assert commutator(a, b) == commutator(fa, fb) == want - schoolbook_product(fb, fa)
+            pairs, fresh = [(c, a), (RF_ONE, b)], [(c, fa), (RF_ONE, fb)]
+            assert lincomb(pairs, q) == lincomb(fresh, q) == reference_lincomb(fresh, q)
+    if q.is_symbolic:
+        assert len(heis._codec(x)[2]) >= 2
+    else:
+        assert heis._codec(x) == heis._encode(x.terms)
+
+
+def test_kept_l1_sums_bound_term_pairs_that_meet():
+    # (1 + B)(d B + d) = d + 2d B + d B^2: two term pairs meet on B, so K
+    # needs the kept sums |x|_1 |y|_1 = 4|d|; the largest terms give only |d|
+    x = mono(0, 0) + mono(1, 0)
+    for d in EDGES:
+        assert_same_product(x, mono(1, 0, c=rf_int(d)) + mono(0, 0, c=rf_int(d)))
 
 
 # -- reordering formulas ---------------------------------------------------------
