@@ -15,7 +15,9 @@ relations produce nothing else, and a constant is the case a = b = 0.
 ``_normalize`` recognizes such a denominator by stripping its q-adic
 valuation and dividing out (q - 1) while the coefficient sum vanishes,
 then cancels those two irreducible factors directly.  Any other
-denominator goes through the primitive PRS gcd of ``IntPoly.gcd``.
+denominator goes through the primitive PRS gcd of ``IntPoly.gcd``.  The
+scalars of the closed forms, sums of c q^e over (q - 1)^b, skip even that:
+``q_laurent`` puts them over q^a (q - 1)^b and cancels by ``_over_q_q1``.
 """
 
 from __future__ import annotations
@@ -282,8 +284,16 @@ def _split_q_q1(cs, a_max: int, b_max: int):
 
 
 def _q_q1_poly(c: int, a: int, b: int) -> IntPoly:
-    """c*q^a*(q - 1)^b."""
-    return IntPoly((0,) * a + tuple(c * (-1) ** (b - i) * math.comb(b, i) for i in range(b + 1)))
+    """c*q^a*(q - 1)^b; the monic ones (c = 1), which every q^a (q - 1)^b
+    decode divides by, are built once per (a, b)."""
+    if c == 1:
+        return _monic_q_q1(a, b)
+    return IntPoly((0,) * a + tuple(c * x for x in _monic_q_q1(0, b).coeffs))
+
+
+@lru_cache(maxsize=None)
+def _monic_q_q1(a: int, b: int) -> IntPoly:
+    return IntPoly((0,) * a + tuple((-1) ** (b - i) * math.comb(b, i) for i in range(b + 1)))
 
 
 def _over_q_q1(num: IntPoly, a: int, b: int) -> "RationalFunction":
@@ -292,6 +302,8 @@ def _over_q_q1(num: IntPoly, a: int, b: int) -> "RationalFunction":
     q and q - 1 it shares with num cancel: ``_split_q_q1`` on num alone."""
     if not num.coeffs:
         return RF_ZERO
+    if not a and not b:
+        return RationalFunction(num, _P_ONE, _raw=True)
     cs, v, w = _split_q_q1(num.coeffs, a, b)
     return RationalFunction(IntPoly(cs) if v or w else num, _q_q1_poly(1, a - v, b - w), _raw=True)
 
@@ -360,7 +372,7 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: IntPoly, den: IntPoly = _P_ONE, *, _raw: bool = False):
-        if _raw:
+        if _raw or den.coeffs == (1,):  # a polynomial over 1 is already canonical
             self.num = num
             self.den = den
         else:
@@ -416,6 +428,12 @@ class RationalFunction:
             if self.den.coeffs == (1,):
                 return RationalFunction(self.num + other.num, _P_ONE, _raw=True)
             return RationalFunction(self.num + other.num, self.den)
+        # p + n/d = (p d + n)/d is reduced when n/d is: a common factor of
+        # p d + n and d would divide n
+        if self.den.coeffs == (1,):
+            return RationalFunction(self.num * other.den + other.num, other.den, _raw=True)
+        if other.den.coeffs == (1,):
+            return RationalFunction(other.num * self.den + self.num, self.den, _raw=True)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -622,6 +640,43 @@ def binom2(n: int) -> int:
     return math.comb(n, 2) if n >= 2 else 0
 
 
+def q_laurent(q: QValue, terms, b: int = 0) -> RationalFunction:
+    """The sum of c q^e over the (c, e) pairs of terms, divided by (q - 1)^b,
+    in canonical form; e may be negative, and b < 0 multiplies by
+    (q - 1)^-b.  Every scalar of the closed forms is of this shape.
+
+    The terms are shifted into one numerator num in Z[q] over q^a, a the
+    largest -e (0 if no e is negative).  At symbolic q, ``_over_q_q1`` cancels num against
+    q^a (q - 1)^b directly.  At q = p/r, num is evaluated homogeneously as
+    N/r^deg and the value reduced by one integer gcd.  A negative e at q = 0
+    and b > 0 at q = 1 raise the errors of ``QValue.power`` and ``inv``."""
+    terms = list(terms)
+    a = max(0, -min((e for _, e in terms), default=0))
+    cs = [0] * (a + max((e for _, e in terms), default=0) + 1)
+    for c, e in terms:
+        cs[e + a] += c
+    num = IntPoly(cs)
+    if b < 0:
+        num, b = num * _q_q1_poly(1, 0, -b), 0
+    if q.is_symbolic:
+        return _over_q_q1(num, a, b)
+    p, r = q.value.numerator, q.value.denominator
+    if a and not p:
+        raise CoefficientError("negative power of q at q = 0")
+    if b and p == r:
+        raise CoefficientError("inverse of zero in Q(q)")
+    n, rk = 0, 1
+    for c in reversed(num.coeffs):
+        n, rk = n * p + c * rk, rk * r
+    t = a + b - len(num.coeffs) + 1  # n r^t / (p^a (p - r)^b) is the value
+    d = r ** max(-t, 0) * p**a * (p - r) ** b
+    n *= r ** max(t, 0)
+    if d < 0:
+        n, d = -n, -d
+    g = math.gcd(n, d)
+    return _const(n // g, d // g)
+
+
 def q_int(n: int, z: RationalFunction) -> RationalFunction:
     """{n}_z = 1 + z + ... + z^(n-1); the empty sum 0 for n <= 0."""
     total = RF_ZERO
@@ -651,6 +706,11 @@ def _gauss_binomial_poly(n: int, i: int) -> IntPoly:
     return col[-1]
 
 
+def gauss_terms(n: int, i: int, e: int = 0, c: int = 1):
+    """The (coefficient, exponent) pairs of c q^e (n i)_q, for ``q_laurent``."""
+    return [(c * g, e + j) for j, g in enumerate(_gauss_binomial_poly(n, i).coeffs)]
+
+
 def q_binomial(n: int, i: int, z: RationalFunction) -> RationalFunction:
     """Gaussian binomial (n choose i)_z; requires 0 <= i <= n.
 
@@ -660,6 +720,8 @@ def q_binomial(n: int, i: int, z: RationalFunction) -> RationalFunction:
     if i < 0 or i > n:
         raise CoefficientError("q_binomial needs 0 <= i <= n, got i=%d n=%d" % (i, n))
     poly = _gauss_binomial_poly(n, i)
+    if z.num.coeffs == (0, 1) and z.den.coeffs == (1,):  # z = q: the polynomial itself
+        return RationalFunction(poly, _P_ONE, _raw=True)
     acc = RF_ZERO
     for c in reversed(poly.coeffs):
         acc = acc * z + RationalFunction.from_int(c)

@@ -58,8 +58,9 @@ from .coeff import (
     add_terms,
     binom2,
     gauss_polynomial,
-    q_binomial,
+    gauss_terms,
     q_int,
+    q_laurent,
 )
 from .words import check_word, factorize
 
@@ -623,10 +624,8 @@ def bnan_expand(n: int, q: QValue) -> NormalElement:
     if n < 0:
         raise ValueError("bnan_expand needs n >= 0")
     _require_not_01(q, "bnan_expand")
-    q_rf = q.scalar()
-    front = q.power(-binom2(n)) * (q_rf - RF_ONE) ** (-n)
     return lincomb((
-        (front * q_binomial(n, i, q_rf) * q_rf ** binom2(n - i) * (-1) ** (n - i), comm_power(i, q))
+        (q_laurent(q, gauss_terms(n, i, binom2(n - i) - binom2(n), (-1) ** (n - i)), n), comm_power(i, q))
         for i in range(n + 1)
     ), q)
 
@@ -639,10 +638,8 @@ def anbn_expand(n: int, q: QValue) -> NormalElement:
     if n < 0:
         raise ValueError("anbn_expand needs n >= 0")
     _require_not_01(q, "anbn_expand")
-    q_rf = q.scalar()
-    front = (q_rf - RF_ONE) ** (-n)
     return lincomb((
-        (front * q_binomial(n, i, q_rf) * q_rf ** binom2(i + 1) * (-1) ** (n - i), comm_power(i, q))
+        (q_laurent(q, gauss_terms(n, i, binom2(i + 1), (-1) ** (n - i)), n), comm_power(i, q))
         for i in range(n + 1)
     ), q)
 

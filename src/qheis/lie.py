@@ -25,8 +25,8 @@ from .coeff import (
     RationalFunction,
     add_terms,
     binom2,
-    q_binomial,
-    q_int,
+    gauss_terms,
+    q_laurent,
 )
 from .heis import (
     DegenerateQError,
@@ -224,6 +224,16 @@ def membership_generic(x: NormalElement) -> bool:
     return in_lie_span(to_lie_power_basis(x))
 
 
+def _q_minus(q: QValue, e1: int, e2: int, b: int = 0) -> RationalFunction:
+    """(q^e1 - q^e2) / (q - 1)^b."""
+    return q_laurent(q, ((1, e1), (-1, e2)), b)
+
+
+def _q_run(q: QValue, lo: int, hi: int, c: int = 1) -> RationalFunction:
+    """c (q^lo + q^(lo+1) + ... + q^(hi-1)) = c q^lo {hi - lo}_q."""
+    return q_laurent(q, ((c, e) for e in range(lo, hi)))
+
+
 # ---------------------------------------------------------------------------
 # the beta generator families (iterated adjoints)
 # ---------------------------------------------------------------------------
@@ -279,21 +289,22 @@ def beta_closed_sides(
     ``derived=True`` selects the corrected one.
     """
     _require_generic(q, "beta_closed_sides")
-    q_rf = q.scalar()
     lhs = beta_raw(kind, k, l, q)
     if kind == "A":
-        c = -((RF_ONE - q_rf) ** l) * (q_rf**l - RF_ONE) ** k
+        # -(1 - q)^l (q^l - 1)^k = (-1)^(l+1) (q - 1)^l (q^l - 1)^k
+        c = q_laurent(q, (((-1) ** (l + 1 + k - j) * math.comb(k, j), l * j) for j in range(k + 1)), -l)
         rhs = combo_expand([(c, AlphaBar(k, l))], q)
     elif kind == "B":
-        c = (q_rf - RF_ONE) ** (k + 1) * (RF_ONE - q_rf ** (k + 1)) ** (l - 1)
+        # (q - 1)^(k+1) (1 - q^(k+1))^(l-1)
+        c = q_laurent(q, (((-1) ** j * math.comb(l - 1, j), (k + 1) * j) for j in range(l)), -(k + 1))
         rhs = combo_expand([(c, BetaBar(k, l))], q)
     elif kind == "G":
+        # front (q - 1)^(k+1) {j}_q = front (q - 1)^k (q^j - 1); derived: front
+        # q^-(k+1), j = k+1, k+2; printed: front q^-k, j = k (times q) and k+1
         if derived:
-            front = q.power(-(k + 1)) * (q_rf - RF_ONE) ** (k + 1)
-            c1, c2 = front * q_int(k + 1, q_rf), front * q_int(k + 2, q_rf)
+            c1, c2 = _q_minus(q, 0, -(k + 1), -k), _q_minus(q, 1, -(k + 1), -k)
         else:
-            front = q.power(-k) * (q_rf - RF_ONE) ** (k + 1)
-            c1, c2 = front * q_rf * q_int(k, q_rf), front * q_int(k + 1, q_rf)
+            c1, c2 = _q_minus(q, 1, 1 - k, -k), _q_minus(q, 1, -k, -k)
         rhs = lincomb([(c1, comm_power(k + 1, q)), (-c2, comm_power(k + 2, q))], q)
     else:
         raise ValueError("unknown beta kind %r" % kind)
@@ -310,16 +321,14 @@ def beta_gamma_sum_sides(
              = -<BA> - {k+2}_q [A,B]^(k+2)
     """
     _require_generic(q, "beta_gamma_sum_sides")
-    q_rf = q.scalar()
-    qm1_inv = (q_rf - RF_ONE).inv()
     lhs = lincomb((
-        (qm1_inv ** (i + 1) * q_rf ** (i + 1 if derived else k), beta_raw("G", i, 1, q))
+        (q_laurent(q, [(1, i + 1 if derived else k)], i + 1), beta_raw("G", i, 1, q))
         for i in range(k + 1)
     ), q)
     if derived:
-        rhs = -bracketed_word("BA", q) - comm_power(k + 2, q).scale(q_int(k + 2, q_rf))
+        rhs = -bracketed_word("BA", q) - comm_power(k + 2, q).scale(_q_run(q, 0, k + 2))
     else:
-        rhs = comm_power(k + 2, q).scale(-q_int(k + 1, q_rf))
+        rhs = comm_power(k + 2, q).scale(_q_run(q, 0, k + 1, -1))
     return lhs, rhs
 
 
@@ -334,7 +343,10 @@ class CiCoefficient:
 
     c_i = (-1)^(n-i) (n i)_q (q^e1 - q^e2) with
     e1 = (l-n)(i+m+1) + C(i+1,2) and e2 = -n(k+m) - n(n+3)/2 + C(n-i,2);
-    n(n+3) is even for every integer n, so e2 is an integer.
+    n(n+3) is even for every integer n, so e2 is an integer.  ``value``
+    is the coefficient c_i (q-1)^-n that ``bigcomrel_rhs`` puts on the
+    i-th basis vector, built by ``q_laurent`` from the Gaussian polynomial
+    (n i)_q in one step.
     """
 
     k: int
@@ -355,30 +367,26 @@ class CiCoefficient:
         return -self.n * (self.k + self.m) - half // 2 + binom2(self.n - self.i)
 
     def value(self, q: QValue) -> RationalFunction:
-        v = q_binomial(self.n, self.i, q.scalar()) * (q.power(self.e1) - q.power(self.e2))
-        return -v if (self.n - self.i) % 2 else v
+        n, i, s = self.n, self.i, (-1) ** (self.n - self.i)
+        return q_laurent(q, gauss_terms(n, i, self.e1, s) + gauss_terms(n, i, self.e2, -s), n)
 
 
 def bigcomrel_rhs(k: int, l: int, m: int, n: int, q: QValue) -> NormalElement:
     """Printed right side of [Abar(k,l), Bbar(m,n)], by the l vs n case."""
     _require_generic(q, "bigcomrel_rhs")
-    q_rf = q.scalar()
     if l > n:
-        front = (q_rf - RF_ONE) ** (-n)
         pairs = [
-            (CiCoefficient(k, l, m, n, i).value(q) * front, AlphaBar(i + k + m + 1, l - n))
+            (CiCoefficient(k, l, m, n, i).value(q), AlphaBar(i + k + m + 1, l - n))
             for i in range(n + 1)
         ]
     elif l < n:
-        front = (q_rf - RF_ONE) ** (-l)
         pairs = [
-            (CiCoefficient(m, n, k, l, i).value(q) * front, BetaBar(i + k + m + 1, n - l))
+            (CiCoefficient(m, n, k, l, i).value(q), BetaBar(i + k + m + 1, n - l))
             for i in range(l + 1)
         ]
     else:
-        front = (q_rf - RF_ONE) ** (-l)
         pairs = [
-            (CiCoefficient(k, l, m, l, i).value(q) * front, GammaBar(i + k + m))
+            (CiCoefficient(k, l, m, l, i).value(q), GammaBar(i + k + m))
             for i in range(l + 1)
         ]
     return combo_expand(pairs, q)
@@ -399,7 +407,6 @@ def table1_rhs(
     ``derived=True`` substitutes the corrected formulas for the three
     printed cells that fail (see KNOWN_DISCREPANCIES).
     """
-    q_rf = q.scalar()
 
     def combo(*pairs):
         return combo_expand(list(pairs), q)
@@ -409,37 +416,37 @@ def table1_rhs(
         if isinstance(col, AlphaBar):
             m, n = col.k, col.l
             return combo(
-                (q.power(l * (m + 1)) - q.power(n * (k + 1)), AlphaBar(k + m + 1, l + n))
+                (_q_minus(q, l * (m + 1), n * (k + 1)), AlphaBar(k + m + 1, l + n))
             )
         if isinstance(col, GenA):
             if derived:
-                return combo((RF_ONE - q.power(k + 1), AlphaBar(k, l + 1)))
-            return combo((RF_ONE - q_rf, AlphaBar(k, l + 1)))
+                return combo((_q_minus(q, 0, k + 1), AlphaBar(k, l + 1)))
+            return combo((_q_minus(q, 0, 1), AlphaBar(k, l + 1)))
         if isinstance(col, BrBA):
-            return combo((RF_ONE - q.power(l), AlphaBar(k + 1, l)))
+            return combo((_q_minus(q, 0, l), AlphaBar(k + 1, l)))
         if isinstance(col, GammaBar):
             m = col.k
-            return combo((q.power(l * (m + 2)) - RF_ONE, AlphaBar(k + m + 2, l)))
+            return combo((_q_minus(q, l * (m + 2), 0), AlphaBar(k + m + 2, l)))
         if isinstance(col, GenB):
             if l == 1 and k == 0:
                 return combo(
-                    (q.power(-1) * (RF_ONE + q_rf), GammaBar(0)),
+                    (_q_run(q, -1, 1), GammaBar(0)),
                     (q.power(-1), BrBA()),
                 )
             if l == 1:
-                f = q.power(-(k + 1))
                 return combo(
-                    (f * q_int(k + 2, q_rf), GammaBar(k)),
-                    (-f * q_int(k + 1, q_rf), GammaBar(k - 1)),
+                    (_q_run(q, -(k + 1), 1), GammaBar(k)),
+                    (_q_run(q, -(k + 1), 0, -1), GammaBar(k - 1)),
                 )
             if derived:
-                f = q.power(-(k + 1))
                 return combo(
-                    (f * q_int(k + l + 1, q_rf), AlphaBar(k + 1, l - 1)),
-                    (-f * q_int(k + 1, q_rf), AlphaBar(k, l - 1)),
+                    (_q_run(q, -(k + 1), l), AlphaBar(k + 1, l - 1)),
+                    (_q_run(q, -(k + 1), 0, -1), AlphaBar(k, l - 1)),
                 )
+            # (1 - q^-(k+2)) {l}_q
             return combo(
-                ((RF_ONE - q.power(-(k + 2))) * q_int(l, q_rf), AlphaBar(k + 2, l - 1))
+                (q_laurent(q, [(1, j) for j in range(l)] + [(-1, j - k - 2) for j in range(l)]),
+                 AlphaBar(k + 2, l - 1))
             )
         if isinstance(col, BetaBar):
             return bigcomrel_rhs(k, l, col.k, col.l, q)
@@ -447,63 +454,60 @@ def table1_rhs(
         if isinstance(col, GenA):
             return NormalElement.zero(q)
         if isinstance(col, BrBA):
-            return combo((RF_ONE - q_rf, AlphaBar(0, 1)))
+            return combo((_q_minus(q, 0, 1), AlphaBar(0, 1)))
         if isinstance(col, GammaBar):
             m = col.k
-            return combo((q.power(m + 2) - RF_ONE, AlphaBar(m + 1, 1)))
+            return combo((_q_minus(q, m + 2, 0), AlphaBar(m + 1, 1)))
         if isinstance(col, GenB):
             return combo((-RF_ONE, BrBA()))
         if isinstance(col, BetaBar):
             m, n = col.k, col.l
             if n == 1 and m == 0:
                 return combo(
-                    (q.power(-1) * (RF_ONE + q_rf), GammaBar(0)),
+                    (_q_run(q, -1, 1), GammaBar(0)),
                     (q.power(-1), BrBA()),
                 )
             if n == 1:
-                f = q.power(-(m + 1))
                 return combo(
-                    (f * q_int(m + 2, q_rf), GammaBar(m)),
-                    (-f * q_int(m + 1, q_rf), GammaBar(m - 1)),
+                    (_q_run(q, -(m + 1), 1), GammaBar(m)),
+                    (_q_run(q, -(m + 1), 0, -1), GammaBar(m - 1)),
                 )
             if derived:
-                f = q.power(-(m + 1))
                 return combo(
-                    (f * q_int(m + n + 1, q_rf), BetaBar(m + 1, n - 1)),
-                    (-f * q_int(m + 1, q_rf), BetaBar(m, n - 1)),
+                    (_q_run(q, -(m + 1), n), BetaBar(m + 1, n - 1)),
+                    (_q_run(q, -(m + 1), 0, -1), BetaBar(m, n - 1)),
                 )
-            f = q.power(-(m + 2))
             return combo(
-                (f * q_int(m + n + 2, q_rf), BetaBar(m + 2, n - 1)),
-                (-f * q_int(m + 2, q_rf), BetaBar(m + 1, n - 1)),
+                (_q_run(q, -(m + 2), n), BetaBar(m + 2, n - 1)),
+                (_q_run(q, -(m + 2), 0, -1), BetaBar(m + 1, n - 1)),
             )
     if isinstance(row, BrBA):
         if isinstance(col, (BrBA, GammaBar)):
             return NormalElement.zero(q)
         if isinstance(col, GenB):
-            return combo((RF_ONE - q_rf, BetaBar(0, 1)))
+            return combo((_q_minus(q, 0, 1), BetaBar(0, 1)))
         if isinstance(col, BetaBar):
-            return combo((RF_ONE - q.power(col.l), BetaBar(col.k + 1, col.l)))
+            return combo((_q_minus(q, 0, col.l), BetaBar(col.k + 1, col.l)))
     if isinstance(row, GammaBar):
         k = row.k
         if isinstance(col, GammaBar):
             return NormalElement.zero(q)
         if isinstance(col, GenB):
-            return combo((q.power(k + 2) - RF_ONE, BetaBar(k + 1, 1)))
+            return combo((_q_minus(q, k + 2, 0), BetaBar(k + 1, 1)))
         if isinstance(col, BetaBar):
             m, n = col.k, col.l
-            return combo((q.power(n * (k + 2)) - RF_ONE, BetaBar(k + m + 2, n)))
+            return combo((_q_minus(q, n * (k + 2), 0), BetaBar(k + m + 2, n)))
     if isinstance(row, GenB):
         if isinstance(col, GenB):
             return NormalElement.zero(q)
         if isinstance(col, BetaBar):
             m, n = col.k, col.l
-            return combo((RF_ONE - q.power(m + 1), BetaBar(m, n + 1)))
+            return combo((_q_minus(q, 0, m + 1), BetaBar(m, n + 1)))
     if isinstance(row, BetaBar):
         if isinstance(col, BetaBar):
             k, l, m, n = row.k, row.l, col.k, col.l
             return combo(
-                (q.power(n * (k + 1)) - q.power(l * (m + 1)), BetaBar(k + m + 1, l + n))
+                (_q_minus(q, n * (k + 1), l * (m + 1)), BetaBar(k + m + 1, l + n))
             )
     raise ValueError("not a printed cell: [%s, %s]" % (row.render(), col.render()))
 
@@ -566,33 +570,33 @@ def table2_sides(row: Tuple[str, int], col: GenBasisVector, q: QValue):
     if letter == "A":
         n = e
         if isinstance(col, BrBA):
-            return "closed", lhs, combo((RF_ONE - q.power(n), AlphaBar(0, n)))
+            return "closed", lhs, combo((_q_minus(q, 0, n), AlphaBar(0, n)))
         if isinstance(col, AlphaBar):
             # printed cell carries an unbound index; re-derived closed form
             return (
                 "derived",
                 lhs,
-                combo((q.power(n * (col.k + 1)) - RF_ONE, AlphaBar(col.k, col.l + n))),
+                combo((_q_minus(q, n * (col.k + 1), 0), AlphaBar(col.k, col.l + n))),
             )
         if isinstance(col, BetaBar):
             return "membership", lhs, None
         if isinstance(col, GammaBar):
             return "closed", lhs, combo(
-                (q.power(n * (col.k + 2)) - RF_ONE, AlphaBar(col.k + 1, n))
+                (_q_minus(q, n * (col.k + 2), 0), AlphaBar(col.k + 1, n))
             )
     else:
         m = e
         if isinstance(col, BrBA):
-            return "closed", lhs, combo((q.power(m) - RF_ONE, BetaBar(0, m)))
+            return "closed", lhs, combo((_q_minus(q, m, 0), BetaBar(0, m)))
         if isinstance(col, AlphaBar):
             return "membership", lhs, None
         if isinstance(col, BetaBar):
             return "closed", lhs, combo(
-                (RF_ONE - q.power(m * (col.k + 1)), BetaBar(col.k, col.l + m))
+                (_q_minus(q, 0, m * (col.k + 1)), BetaBar(col.k, col.l + m))
             )
         if isinstance(col, GammaBar):
             return "closed", lhs, combo(
-                (RF_ONE - q.power(m * (col.k + 2)), BetaBar(col.k + 1, m))
+                (_q_minus(q, 0, m * (col.k + 2)), BetaBar(col.k + 1, m))
             )
     raise ValueError("not a table-2 cell")
 

@@ -27,10 +27,11 @@ from qheis.coeff import (
     q_binomial,
     q_factorial,
     q_int,
+    q_laurent,
     q_power,
 )
 
-from helpers import specialize
+from helpers import field_q_laurent, horner_q_binomial, specialize
 
 
 def poly(*coeffs):
@@ -250,6 +251,108 @@ def test_over_q_q1_named_cases():
     assert parts(_over_q_q1(poly(3, 0, 2), 0, 0)) == ((3, 0, 2), (1,))
 
 
+def test_over_q_q1_matches_normalize_on_edge_numerators():
+    # zero, integer content > 1, more factors q and q - 1 than the
+    # denominator has, and a = b = 0 (num/1, returned without splitting)
+    nums = [poly(), poly(6), poly(-4, 0, 8), q_q1(6, 3, 0), q_q1(-9, 0, 4), q_q1(12, 4, 5) * poly(1, 1)]
+    for num in nums:
+        for a, b in [(0, 0), (0, 1), (2, 0), (1, 3), (4, 5), (6, 6)]:
+            assert parts(_over_q_q1(num, a, b)) == parts(RationalFunction(num, _q_q1_poly(1, a, b)))
+    p = poly(3, 0, 2)
+    assert _over_q_q1(p, 0, 0).num is p
+
+
+def test_q_q1_poly_memo_equals_a_direct_build():
+    for a in range(8):
+        for b in range(8):
+            direct = q_q1(1, a, b)
+            assert _q_q1_poly(1, a, b) == direct and _q_q1_poly(1, a, b) is _q_q1_poly(1, a, b)
+            for c in (2, -1, -6, 3**20):
+                assert _q_q1_poly(c, a, b) == q_q1(c, a, b)
+
+
+@st.composite
+def polynomial_plus_fraction(draw):
+    """(p, x): p in Z[q] and x = n/d in canonical form with d != 1, some with
+    a constant d (content only) and some with d = c q^a (q - 1)^b."""
+    p = IntPoly(draw(poly_coeffs))
+    n = IntPoly(draw(st.lists(st.integers(-9, 9), max_size=5)))
+    d = draw(st.one_of(
+        st.builds(q_q1, st.sampled_from([1, 2, -3, 6]), st.integers(0, 3), st.integers(0, 3)),
+        st.sampled_from([poly(2), poly(-4), poly(1, 1), poly(2, 0, 1), poly(-1, 2)]),
+    ))
+    return p, RationalFunction(n, d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomial_plus_fraction())
+def test_polynomial_plus_fraction_matches_normalize(case):
+    p, x = case
+    want = parts(RationalFunction(p * x.den + x.num, x.den))
+    assert parts(RationalFunction(p) + x) == want
+    assert parts(x + RationalFunction(p)) == want
+    assert parts(RationalFunction(p) - x) == parts(RationalFunction(p * x.den - x.num, x.den))
+
+
+# -- closed-form scalars sum c q^e / (q - 1)^b ------------------------------------
+
+LAURENT_QS = [SYMBOLIC_Q, QValue.rational(2), QValue.rational(-1, 3), QValue.rational(1, 2), QValue.rational(-1)]
+
+
+@st.composite
+def laurent_terms(draw):
+    """(c, e) pairs with e in -12..12, some repeated with c negated so that
+    they cancel, and some exponents equal so that their c add."""
+    terms = draw(st.lists(
+        st.tuples(st.one_of(st.integers(-9, 9), st.sampled_from([3**25, -(2**70)])), st.integers(-12, 12)),
+        max_size=6,
+    ))
+    cancel = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+    return terms + [(-c, e) for c, e in cancel]
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_terms(), st.integers(0, 6), st.sampled_from(LAURENT_QS))
+def test_q_laurent_matches_the_field_expression(terms, b, q):
+    assert parts(q_laurent(q, terms, b)) == parts(field_q_laurent(q, terms, b))
+    # b < 0 multiplies by (q - 1)^-b
+    assert parts(q_laurent(q, terms, -b)) == parts(field_q_laurent(q, terms, -b))
+
+
+def test_q_laurent_named_cases():
+    assert parts(q_laurent(SYMBOLIC_Q, [])) == ((), (1,))
+    assert parts(q_laurent(SYMBOLIC_Q, [(1, 3), (-1, 3)], 4)) == ((), (1,))
+    # (q^2 - 1) / (q - 1) = q + 1
+    assert parts(q_laurent(SYMBOLIC_Q, [(1, 2), (-1, 0)], 1)) == ((1, 1), (1,))
+    # (q - q^-2) / (q - 1)^2 = (q^2 + q + 1) / (q^2 (q - 1))
+    assert parts(q_laurent(SYMBOLIC_Q, [(1, 1), (-1, -2)], 2)) == ((1, 1, 1), (0, 0, -1, 1))
+    # 2 q^-1 (q - 1)^2 at q = -1/3: 2 (-3) (16/9) = -32/3
+    assert q_laurent(QValue.rational(-1, 3), [(2, -1)], -2) == RationalFunction.from_fraction(Fraction(-32, 3))
+    assert parts(q_laurent(QValue.rational(2), [(4, 1), (-8, 0)], 3)) == ((), (1,))
+
+
+@pytest.mark.parametrize("q, terms, b", [
+    (QValue.rational(0), [(1, -1)], 0),
+    (QValue.rational(0), [(1, 2), (-1, -3)], 2),
+    (QValue.rational(0), [(1, -1), (-1, -1)], 0),  # cancels, but q^-1 is still taken
+    (QValue.rational(1), [(1, 0)], 1),
+    (QValue.rational(1), [(1, 2), (-1, 2)], 3),
+])
+def test_q_laurent_raises_the_errors_of_the_field_expression(q, terms, b):
+    with pytest.raises(CoefficientError) as want:
+        field_q_laurent(q, terms, b)
+    with pytest.raises(CoefficientError) as got:
+        q_laurent(q, terms, b)
+    assert str(got.value) == str(want.value)
+
+
+def test_q_laurent_at_degenerate_q_without_a_pole():
+    cases = [(0, [(3, 0), (2, 4)], 0), (0, [(1, 0), (1, 1)], 3), (1, [(3, 0), (2, 4)], 0), (1, [(1, 2), (-5, 1)], -2)]
+    for q0, terms, b in cases:
+        q = QValue.rational(q0)
+        assert parts(q_laurent(q, terms, b)) == parts(field_q_laurent(q, terms, b))
+
+
 def test_normalize_agrees_with_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("q")
@@ -327,12 +430,13 @@ def test_constant_arithmetic_named_cases(monkeypatch):
     assert parts(const(1, 6) + const(1, 10)) == ((4,), (15,))
     assert calls == []
 
-    # a polynomial operand takes the general path
+    # a product with a polynomial operand takes the general path; a sum with
+    # a polynomial p is (p d + n)/d, which is reduced when n/d is
     one_plus_q_over_q, q, inv_q = rf((1, 1), (0, 1)), rf((0, 1)), rf((1,), (0, 1))
-    expected = [rf((2, 2), (0, 1)), rf((1, 3), (3,)), rf((3,), (0, 1))]
+    expected = [rf((2, 2), (0, 1)), rf((3,), (0, 1)), rf((1, 3), (3,))]
     calls.clear()
-    got = [const(2) * one_plus_q_over_q, const(1, 3) + q, const(3) * inv_q]
-    assert len(calls) == 3
+    got = [const(2) * one_plus_q_over_q, const(3) * inv_q, const(1, 3) + q]
+    assert len(calls) == 2
     assert [parts(x) for x in got] == [parts(x) for x in expected]
 
 
@@ -520,6 +624,23 @@ def test_gauss_binomial_pascal_rule_matches_the_quotient_formula():
     for n in range(13):
         for i in range(n + 1):
             assert RationalFunction(_gauss_binomial_poly(n, i)) == quotient_gauss_binomial(n, i)
+
+
+def test_q_binomial_at_q_is_the_gaussian_polynomial():
+    for n in range(31):
+        for i in range(n + 1):
+            got = q_binomial(n, i, RF_Q)
+            assert got.num is _gauss_binomial_poly(n, i) and got.den.coeffs == (1,)
+            assert parts(got) == parts(horner_q_binomial(n, i, RF_Q))
+
+
+def test_q_binomial_at_other_z_matches_horner():
+    # q/2 has the numerator of q: only z = q itself is the Gaussian polynomial
+    zs = [RF_Q.inv(), RF_Q * RF_Q, rf((0, 1), (2,)), rf((1, 1), (-1, 1)), const(-1, 3), RF_ZERO, const(2), const(-1)]
+    for n in range(13):
+        for i in range(n + 1):
+            for z in zs:
+                assert parts(q_binomial(n, i, z)) == parts(horner_q_binomial(n, i, z))
 
 
 def test_q_binomial_explicit_values():

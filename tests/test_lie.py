@@ -5,12 +5,19 @@ both facts: the printed form fails and the re-derived form holds.  The
 full registry lives in qheis.lie.KNOWN_DISCREPANCIES.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from operator import eq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qheis.coeff import QValue, RF_ONE, RF_Q, RationalFunction
+import qheis
+from qheis.coeff import CoefficientError, QValue, RF_ONE, RF_Q, RationalFunction
 from qheis.heis import (
     DegenerateQError,
     NormalElement,
@@ -46,6 +53,8 @@ from qheis.lie import (
     table2_sides,
 )
 from qheis.words import is_regular
+
+from helpers import field_ci_value
 
 SYM = QValue()
 rf_int = RationalFunction.from_int
@@ -304,6 +313,67 @@ def test_ci_exponents_are_integers():
                         assert isinstance(ci.e1, int)
                         assert isinstance(ci.e2, int)
                         ci.value(SYM)
+
+
+def parts(x):
+    return x.num.coeffs, x.den.coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4), st.integers(0, 6), st.integers(0, 4), st.integers(0, 6), st.data(),
+    st.sampled_from([SYM, QValue.rational(2), QValue.rational(-1, 3), QValue.rational(1, 2), QValue.rational(-1)]),
+)
+def test_ci_value_matches_the_field_chain(k, l, m, n, data, q):
+    ci = CiCoefficient(k, l, m, n, data.draw(st.integers(0, n)))
+    assert parts(ci.value(q)) == parts(field_ci_value(ci, q))
+
+
+def test_ci_value_at_q_0_and_1_raises_as_the_field_chain():
+    raised = {0: 0, 1: 0}
+    for q0 in raised:
+        q = QValue.rational(q0)
+        for k in range(3):
+            for l in range(4):
+                for m in range(3):
+                    for n in range(4):
+                        for i in range(n + 1):
+                            ci = CiCoefficient(k, l, m, n, i)
+                            try:
+                                want = parts(field_ci_value(ci, q))
+                            except CoefficientError as exc:
+                                with pytest.raises(CoefficientError) as got:
+                                    ci.value(q)
+                                assert str(got.value) == str(exc)
+                                raised[q0] += 1
+                            else:
+                                assert parts(ci.value(q)) == want
+    # a negative exponent at q = 0, and (q - 1)^-n with n > 0 at q = 1
+    assert raised[0] > 50 and raised[1] > 50
+
+
+def test_closed_form_suites_make_no_normalize_calls():
+    """Every scalar of table1 and bigcomrel is built in canonical form, so at
+    symbolic q and default bounds no coefficient goes through the generic
+    ``_normalize``.  A fresh process, so that no element cached by another
+    test hides a call."""
+    script = textwrap.dedent("""
+        import qheis.coeff as coeff
+        from qheis.coeff import SYMBOLIC_Q
+        from qheis.suites import SuiteConfig, run_suite
+
+        calls = []
+        normalize = coeff._normalize
+        coeff._normalize = lambda num, den: calls.append(1) or normalize(num, den)
+        for suite in ("table1", "bigcomrel"):
+            entries = len(run_suite(SuiteConfig(suite, SYMBOLIC_Q)).entries)
+            print(suite, entries > 0, len(calls))
+            calls.clear()
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qheis.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["table1", "True", "0", "bigcomrel", "True", "0"]
 
 
 def test_bigcomrel_all_three_cases():
