@@ -11,13 +11,15 @@ A PBW product of four or more term pairs, a `commutator` xy - yx of as many,
 and `lincomb` (a sum of c_i x_i) run on ints when every coefficient fits the
 codec of q; anything else takes the loop over Q(q).  The product and the
 commutator share one kernel, `_packed_product`, which sums both products of
-a commutator before it decodes a key.  At symbolic q each coefficient must
-be in Z[q] and is packed into its value at q = 2^K (Kronecker substitution,
-K from a proven l1-norm bound).  At rational q each must be a constant n/d,
-and a term map is put over one common denominator D (`_encode`); `lincomb`
-also needs two pairs or more, and `lie.zero_basis_coords` solves on the same
-ints.  An element keeps what the kernels derive from it (`_codec`), so a
-cached element is packed once per width K for the whole process.  Packed
+a commutator before it decodes a key.  One memo turns coefficients into
+ints, for elements and for the A^n B^k and [A,B]^k tables alike: an element
+keeps its sizes and its packs (`_codec`), one term map per width W
+(`_packed_terms`), so a cached element is packed once per width for the
+whole process.  At symbolic q each coefficient must be in Z[q] and is packed
+into its value at q = 2^W (Kronecker substitution, W = K from a proven
+l1-norm bound).  At rational q each must be a constant n/d and becomes
+n W/d, W a multiple of the lcm denominator D; `lincomb` also needs two pairs
+or more, and `lie.zero_basis_coords` solves on the same ints.  Packed
 values go to and from their balanced base-2^K digits (`_pack`, `_unpack`)
 by shift loops below 4 kbit, else in one pass linear in the length, and
 native 16, 32 or 64-bit digits unpack by one memoryview cast.  A sum over
@@ -85,7 +87,6 @@ def _require_not_01(q: QValue, what: str) -> None:
 
 
 MonoKey = Tuple[int, int]
-_P_ONE = IntPoly.one()
 
 
 class NormalElement:
@@ -150,7 +151,7 @@ class NormalElement:
             out = _packed_product(self, other)
             if out is not None:
                 return NormalElement(q, out, _raw=True)
-        fp = {(n, m): _an_bk_expansion(n, m, q) for n, m in _reorderings(self.terms, other.terms)}
+        fp = {(n, m): _an_bk_expansion(n, m, q).terms for n, m in _reorderings(self.terms, other.terms)}
         return NormalElement(q, add_terms({}, _product_terms(self.terms, other.terms, fp)), _raw=True)
 
     def __pow__(self, n: int) -> "NormalElement":
@@ -209,15 +210,16 @@ def _render_terms(terms) -> str:
 
 
 @lru_cache(maxsize=None)
-def _an_bk_expansion(n: int, k: int, q: QValue):
-    """PBW expansion of A^n B^k as a tuple of ((m', n'), coeff) pairs.
+def _an_bk_expansion(n: int, k: int, q: QValue) -> NormalElement:
+    """PBW expansion of A^n B^k, with its keys in sorted order.
 
     Built by absorbing one B at a time through A^n with the rule
     A^j B = q^j B A^j + {j}_q A^(j-1).  At q = 0 that rule is AB = I, so
-    A^n B^k is the pure power A^(n-k) or B^(k-n).
+    A^n B^k is the pure power A^(n-k) or B^(k-n).  The kernels read it as
+    they read any element, packed once per width by ``_packed_terms``.
     """
     if q.is_zero:
-        return (((max(k - n, 0), max(n - k, 0)), RF_ONE),)
+        return NormalElement.monomial(max(k - n, 0), max(n - k, 0), q)
     # q^b and {b}_q = 1 + q + ... + q^(b-1) for b = 0 .. n
     pows = list(accumulate(repeat(q.scalar(), n), mul, initial=RF_ONE))
     ints = list(accumulate(pows[:n], initial=RF_ZERO))
@@ -228,20 +230,18 @@ def _an_bk_expansion(n: int, k: int, q: QValue):
             # {0}_q = 0, so b = 0 adds nothing at (a, -1)
             add_terms(nxt, (((a + 1, b), c * pows[b]), ((a, b - 1), c * ints[b])))
         state = nxt
-    return tuple(sorted(state.items()))
+    return NormalElement(q, dict(sorted(state.items())), _raw=True)
 
 
 def _encode(terms):
-    """The constant-q codec: (D, {key: n (D/d)}) for a term map whose
-    coefficients are all constants n/d, D the lcm of the d; None if one is
-    not a constant."""
+    """(D, {key: n (D/d)}) for a term map whose values are all constants n/d,
+    D the lcm of the d; None if one is not a constant.  Only the scalars c
+    of ``lincomb`` take this; an element's coefficients are packed by
+    ``_packed_terms``."""
     if any(len(c.num.coeffs) > 1 or len(c.den.coeffs) > 1 for c in terms.values()):
         return None
     D = math.lcm(*(c.den.coeffs[0] for c in terms.values()))
-    # n itself where d = D, so that the ints ``_codec`` keeps are the
-    # coefficients' own objects, not copies
-    nds = ((key, (c.num.coeffs or (0,))[0], c.den.coeffs[0]) for key, c in terms.items())
-    return D, {key: n if d == D else n * (D // d) for key, n, d in nds}
+    return D, {key: (c.num.coeffs or (0,))[0] * (D // c.den.coeffs[0]) for key, c in terms.items()}
 
 
 def _decode(D: int, out):
@@ -263,14 +263,14 @@ def _reorderings(xt, yt):
 
 def _product_terms(xt, yt, fp, one=None):
     """The (key, c) terms of the product of the term maps xt and yt, where
-    fp[n, m] holds A^n B^m as ((a, b), f) pairs for each of
-    ``_reorderings(xt, yt)``.  one is 1 in the encoding of the f (the packed
-    1 at rational q), or None where that is 1 itself."""
+    fp[n, m] is the term map of A^n B^m for each of ``_reorderings(xt, yt)``.
+    one is 1 in the encoding of the f (the packed 1 at rational q), or None
+    where that is 1 itself."""
     for (m1, n1), c1 in xt.items():
         for (m2, n2), c2 in yt.items():
             c12 = c1 * c2
             if n1 and m2:
-                for (a, b), f in fp[n1, m2]:
+                for (a, b), f in fp[n1, m2].items():
                     yield (m1 + a, b + n2), c12 * f
             else:
                 # A^n1 B^m2 with n1 == 0 or m2 == 0 is already B^m2 A^n1
@@ -279,38 +279,47 @@ def _product_terms(xt, yt, fp, one=None):
 
 def _codec(x: NormalElement):
     """What the packed kernels read of x, derived on first use and kept in
-    x._packs: at symbolic q [the sum and the max of the l1 norms of its
-    coefficients, {K: ``_packed_terms(x, K)``}], at rational q the
-    ``_encode`` pair (D, ints); False if a coefficient does not fit the
-    codec of q (is not in Z[q], is not a constant)."""
+    x._packs: [S, M, {W: ``_packed_terms(x, W)``}], where at symbolic q S and
+    M are the sum and the max of the l1 norms of the coefficients, and at
+    rational q both are the lcm D of their denominators; False if a
+    coefficient does not fit the codec of q (is not in Z[q], is not a
+    constant).  Elements and the ``_an_bk_expansion`` and ``comm_power``
+    tables alike are read through it."""
     if x._packs is None:
-        cs = x.terms.values()
+        cs, x._packs = x.terms.values(), False
         if not x.q.is_symbolic:
-            x._packs = _encode(x.terms) or False
+            if all(len(c.num.coeffs) < 2 and len(c.den.coeffs) == 1 for c in cs):
+                D = math.lcm(*(c.den.coeffs[0] for c in cs))
+                x._packs = [D, D, {}]
         elif all(c.den.coeffs == (1,) for c in cs):
             norms = [sum(map(abs, c.num.coeffs)) for c in cs]
             x._packs = [sum(norms), max(norms, default=0), {}]
-        else:
-            x._packs = False
     return x._packs
 
 
-def _packed_terms(x: NormalElement, K: int):
-    """x.terms with each coefficient (in Z[q]) packed at q = 2^K, built once
-    per K and kept in ``_codec(x)``."""
-    packs = _codec(x)[2]
-    if K not in packs:
-        packs[K] = {key: _pack(c.num.coeffs, K) for key, c in x.terms.items()}
-    return packs[K]
+def _packed_terms(x: NormalElement, W: int):
+    """x.terms with each coefficient as an int, built once per W and kept in
+    ``_codec(x)``: at symbolic q c(2^W) (c in Z[q]), at rational q n W/d for
+    c = n/d (W a multiple of x's D; n itself where d = W, so that the ints
+    kept are the coefficients' own objects, not copies).  The only place
+    where a coefficient of an element or a table becomes an int."""
+    packs = (x._packs or _codec(x))[2]
+    if W not in packs:
+        if x.q.is_symbolic:
+            packs[W] = {key: _pack(c.num.coeffs, W) for key, c in x.terms.items()}
+        else:
+            nds = ((key, (c.num.coeffs or (0,))[0], c.den.coeffs[0]) for key, c in x.terms.items())
+            packs[W] = {key: n if d == W else n * (W // d) for key, n, d in nds}
+    return packs[W]
 
 
 def _packed_product(x: NormalElement, y: NormalElement, commute=False):
     """``_product_terms`` of x and y on ints, or with commute those of x y and
-    of -(y x): x and y are read packed from ``_codec`` (packed once per
-    element and width), the expansions fp of both products are packed once,
-    and each key of the sum is decoded once; None if a coefficient does not
-    fit the codec of q.  A packed sum is 0 exactly when the sum it encodes
-    is, so a key is dropped where the sum over Q(q) drops it.
+    of -(y x): x, y and the expansions fp of both products are read packed
+    from ``_codec`` (packed once per element and width), and each key of the
+    sum is decoded once; None if a coefficient does not fit the codec of q.
+    A packed sum is 0 exactly when the sum it encodes is, so a key is dropped
+    where the sum over Q(q) drops it.
 
     At symbolic q every coefficient must be in Z[q].  Each is packed at
     q = 2^K (a ring homomorphism to Z) and unpacked once from balanced
@@ -318,23 +327,23 @@ def _packed_product(x: NormalElement, y: NormalElement, commute=False):
     p |x|_1 |y|_1 max |f|_1 (p the number of products, f over the expansions
     of both) < 2^(K-1), so the digits are exact.  K is a multiple of 16, to
     keep the packed expansions few.  At rational q every coefficient must be
-    a constant: ``_encode`` puts x and y over their lcm denominators Dx and
-    Dy, the expansions are put over the lcm K of theirs, and each sum, of x y
-    and of y x alike, is an integer over Dx Dy K."""
+    a constant: x and y are packed over their lcm denominators Dx and Dy, the
+    expansions over the lcm K of theirs, and each sum, of x y and of y x
+    alike, is an integer over Dx Dy K."""
     q, cx, cy = x.q, _codec(x), _codec(y)
     if not (cx and cy):
         return None
     products = ((x.terms, y.terms), (y.terms, x.terms)) if commute else ((x.terms, y.terms),)
-    nms = {nm for a, b in products for nm in _reorderings(a, b)}
+    tables = {nm: _an_bk_expansion(*nm, q) for a, b in products for nm in _reorderings(a, b)}
     if q.is_symbolic:
-        K = _width(len(products) * max((_an_bk_scale(n, m, q) for n, m in nms), default=1) * cx[0] * cy[0])
+        K = _width(len(products) * max((_codec(f)[1] for f in tables.values()), default=1) * cx[0] * cy[0])
         xp, yp = _packed_terms(x, K), _packed_terms(y, K)
-        one, decode = None, lambda out: {key: RationalFunction(_unpack(v, K), _P_ONE, _raw=True) for key, v in out.items()}
+        one, decode = None, lambda out: {key: RationalFunction(_unpack(v, K)) for key, v in out.items()}
     else:
-        (Dx, xp), (Dy, yp) = cx, cy
-        K = math.lcm(*(_an_bk_scale(n, m, q) for n, m in nms))
-        one, decode = K, partial(_decode, Dx * Dy * K)
-    fp = {(n, m): _an_bk_packed(n, m, q, K) for n, m in nms}
+        xp, yp = _packed_terms(x, cx[0]), _packed_terms(y, cy[0])
+        K = math.lcm(*(_codec(f)[0] for f in tables.values()))
+        one, decode = K, partial(_decode, cx[0] * cy[0] * K)
+    fp = {nm: _packed_terms(f, K) for nm, f in tables.items()}
     out = add_terms({}, _product_terms(xp, yp, fp, one))
     if commute:
         add_terms(out, _product_terms({key: -v for key, v in yp.items()}, xp, fp, one))
@@ -414,8 +423,8 @@ def _lincomb_codec(pairs, q: QValue):
     l1 bound sum |c.num D/c.den|_1 max |f|_1, as in ``_packed_product``.  At
     rational q every coefficient must be a constant, and there must be two
     pairs or more (``scale`` is as fast for one).  ``_encode`` puts the c over
-    their lcm denominator Dc, each x over its own Dx, brought to the lcm L of
-    the Dx, so every sum is an integer over Dc L."""
+    their lcm denominator Dc and ``_packed_terms`` each x over its own Dx,
+    brought to the lcm L of the Dx, so every sum is an integer over Dc L."""
     if not q.is_symbolic:
         if len(pairs) < 2:
             return None
@@ -424,9 +433,9 @@ def _lincomb_codec(pairs, q: QValue):
         if not xs or not all(xs):
             return None
         Dc, cs = ec
-        L = math.lcm(*(D for D, _ in xs))
-        cs = [c * (L // D) for c, (D, _) in zip(cs.values(), xs)]
-        return cs, [xp for _, xp in xs], partial(_decode, Dc * L)
+        L = math.lcm(*(D for D, _, _ in xs))
+        cs = [c * (L // D) for c, (D, _, _) in zip(cs.values(), xs)]
+        return cs, [_packed_terms(x, D) for (_, x), (D, _, _) in zip(pairs, xs)], partial(_decode, Dc * L)
     if not all(_codec(x) for _, x in pairs):
         return None
     split = {d: _split_q_q1(d.coeffs, len(d.coeffs), len(d.coeffs)) for d in {c.den for c, _ in pairs}}
@@ -454,35 +463,6 @@ def lincomb(pairs, q: QValue) -> NormalElement:
     for cn, xp in zip(cs, xs):
         add_terms(out, ((key, cn * v) for key, v in xp.items()))
     return NormalElement(q, decode(out), _raw=True)
-
-
-def _coeff_scale(fs, q: QValue) -> int:
-    """At symbolic q the largest l1 norm of the coefficients fs (all in
-    Z[q]), at rational q the lcm of their denominators (all constants)."""
-    if q.is_symbolic:
-        return max(sum(map(abs, f.num.coeffs)) for f in fs)
-    return math.lcm(*(f.den.coeffs[0] for f in fs))
-
-
-def _pack_coeffs(terms, q: QValue, K: int):
-    """The (key, f) pairs terms with each f packed: at symbolic q as f(2^K),
-    at rational q as the integer f K (K a multiple of every denominator)."""
-    if q.is_symbolic:
-        return tuple((key, _pack(f.num.coeffs, K)) for key, f in terms)
-    return tuple((key, sum(f.num.coeffs) * (K // f.den.coeffs[0])) for key, f in terms)
-
-
-@lru_cache(maxsize=None)
-def _an_bk_scale(n: int, k: int, q: QValue) -> int:
-    """``_coeff_scale`` of ``_an_bk_expansion(n, k, q)``, whose coefficients
-    are in Z[q] at symbolic q: it multiplies only by q^b and {b}_q."""
-    return _coeff_scale([f for _, f in _an_bk_expansion(n, k, q)], q)
-
-
-@lru_cache(maxsize=None)
-def _an_bk_packed(n: int, k: int, q: QValue, K: int):
-    """``_an_bk_expansion(n, k, q)`` packed by ``_pack_coeffs``."""
-    return _pack_coeffs(_an_bk_expansion(n, k, q), q, K)
 
 
 def nf_word(w: str, q: QValue) -> NormalElement:
@@ -531,9 +511,6 @@ class GradedParts:
 
     parts: Dict[int, NormalElement]
 
-    def total(self, q: QValue) -> NormalElement:
-        return lincomb(((RF_ONE, p) for p in self.parts.values()), q)
-
 
 def grade(x: NormalElement) -> GradedParts:
     buckets: Dict[int, Dict[MonoKey, RationalFunction]] = {}
@@ -573,33 +550,26 @@ def reorder_sides(kind: str, n: int, q: QValue) -> Tuple[NormalElement, NormalEl
     """Left and right side of one reordering formula, both in PBW form."""
     if n < 1:
         raise ValueError("reordering formulas need n >= 1")
-    q_rf = q.scalar()
+    if kind in ("AB^n", "A^nB"):
+        # q^n and {n}_q = 1 + q + ... + q^(n-1)
+        qn, run = q.power(n), q_laurent(q, ((1, e) for e in range(n)))
+    elif kind in ("BA^n", "B^nA"):
+        if q.is_zero:
+            raise DegenerateQError("%s reordering requires q != 0" % kind)
+        # q^-n and q^-1 {n}_(1/q) = q^-1 + ... + q^-n
+        qn, run = q.power(-n), q_laurent(q, ((1, -e) for e in range(1, n + 1)))
     if kind == "AB^n":
         lhs = nf_word("A" + "B" * n, q)
-        rhs = NormalElement.monomial(n, 1, q, q_rf**n) + NormalElement.monomial(
-            n - 1, 0, q, q_int(n, q_rf)
-        )
+        rhs = NormalElement.monomial(n, 1, q, qn) + NormalElement.monomial(n - 1, 0, q, run)
     elif kind == "A^nB":
         lhs = nf_word("A" * n + "B", q)
-        rhs = NormalElement.monomial(1, n, q, q_rf**n) + NormalElement.monomial(
-            0, n - 1, q, q_int(n, q_rf)
-        )
+        rhs = NormalElement.monomial(1, n, q, qn) + NormalElement.monomial(0, n - 1, q, run)
     elif kind == "BA^n":
-        if q.is_zero:
-            raise DegenerateQError("BA^n reordering requires q != 0")
-        qinv = q_rf.inv()
         lhs = nf_word("B" + "A" * n, q)
-        rhs = nf_word("A" * n + "B", q).scale(qinv**n) - NormalElement.monomial(
-            0, n - 1, q, qinv * q_int(n, qinv)
-        )
+        rhs = nf_word("A" * n + "B", q).scale(qn) - NormalElement.monomial(0, n - 1, q, run)
     elif kind == "B^nA":
-        if q.is_zero:
-            raise DegenerateQError("B^nA reordering requires q != 0")
-        qinv = q_rf.inv()
         lhs = nf_word("B" * n + "A", q)
-        rhs = nf_word("A" + "B" * n, q).scale(qinv**n) - NormalElement.monomial(
-            n - 1, 0, q, qinv * q_int(n, qinv)
-        )
+        rhs = nf_word("A" + "B" * n, q).scale(qn) - NormalElement.monomial(n - 1, 0, q, run)
     else:
         raise ValueError("unknown reordering kind %r" % kind)
     return lhs, rhs
@@ -613,7 +583,8 @@ def shift_poly_sides(w: str, n: int, q: QValue):
     if q.is_zero:
         raise DegenerateQError("the shift identity requires q != 0")
     p, c = nf_word(w, q), comm_power(n, q)
-    return p * c, c * p.scale(q.power(n * (w.count("A") - w.count("B"))))
+    # scaled after the product: c p stays in Z[q], so it runs packed
+    return p * c, (c * p).scale(q.power(n * (w.count("A") - w.count("B"))))
 
 
 def bnan_expand(n: int, q: QValue) -> NormalElement:
@@ -693,20 +664,6 @@ def lie_power_vector(d: int, k: int, q: QValue) -> NormalElement:
     return NormalElement(q, {(m + dm, n + dn): f for (m, n), f in comm_power(k, q).terms.items()}, _raw=True)
 
 
-@lru_cache(maxsize=None)
-def _comm_power_scale(k: int, q: QValue) -> int:
-    """``_coeff_scale`` of ``comm_power(k, q)`` (at symbolic q in Z[q])."""
-    return _coeff_scale(comm_power(k, q).terms.values(), q)
-
-
-@lru_cache(maxsize=None)
-def _comm_power_packed(k: int, q: QValue, K):
-    """The coefficients of [A,B]^k as {j: f} over its keys (j, j): packed by
-    ``_pack_coeffs``, or as they are for K None."""
-    diag = [(j, f) for (j, _), f in comm_power(k, q).terms.items()]
-    return dict(diag if K is None else _pack_coeffs(diag, q, K))
-
-
 def _field_quotient(a, b):
     return a / b, 1
 
@@ -724,35 +681,35 @@ def _rescaling_quotient(a: int, b: int):
     return a * s // b, s
 
 
-def _basis_codec(terms, q: QValue):
+def _basis_codec(part: NormalElement):
     """(rem, vector, quotient, decode) for the back-substitution of one
-    grading part with the term map terms; see ``to_lie_power_basis``."""
-    if q.is_symbolic and all(c.den.coeffs == (1,) for c in terms.values()):
-        kmax = max(min(key) for key in terms)
-        P = _q_q1_poly(1, binom2(kmax), kmax)
-        bound = 2**kmax * sum(sum(map(abs, c.num.coeffs)) for c in terms.values())
-        K = _width(bound * (1 + sum(_comm_power_scale(k, q) for k in range(kmax + 1))))
-        p = _pack(P.coeffs, K)
-        rem = {key: _pack(c.num.coeffs, K) * p for key, c in terms.items()}
+    grading part; see ``to_lie_power_basis``.  rem is a fresh term map, as
+    ``_back_substitute`` changes it in place."""
+    q, cp = part.q, _codec(part)
+    table = lambda k: _codec(comm_power(k, q))
+    if cp and q.is_symbolic:
+        kmax = max(min(key) for key in part.terms)
+        K = _width(2**kmax * cp[0] * (1 + sum(table(k)[1] for k in range(kmax + 1))))
+        p = _pack(_q_q1_poly(1, binom2(kmax), kmax).coeffs, K)
+        rem = {key: v * p for key, v in _packed_terms(part, K).items()}
         decode = lambda sol, s: {k: _over_q_q1(_unpack(c, K), binom2(kmax), kmax) for k, c in sol.items()}
-        return rem, lambda k: _comm_power_packed(k, q, K), _exact_quotient, decode
-    coded = None if q.is_symbolic else _encode(terms)
-    if coded is not None:
-        D, rem = coded
-        E = lambda k: _comm_power_scale(k, q)
-        decode = lambda sol, s: _decode(D * s, {k: c * E(k) for k, c in sol.items()})
-        return rem, lambda k: _comm_power_packed(k, q, E(k)), _rescaling_quotient, decode
-    return dict(terms), lambda k: _comm_power_packed(k, q, None), _field_quotient, lambda sol, s: sol
+        return rem, lambda k: _packed_terms(comm_power(k, q), K), _exact_quotient, decode
+    if cp:
+        decode = lambda sol, s: _decode(cp[0] * s, {k: c * table(k)[0] for k, c in sol.items()})
+        vector = lambda k: _packed_terms(comm_power(k, q), table(k)[0])
+        return dict(_packed_terms(part, cp[0])), vector, _rescaling_quotient, decode
+    return dict(part.terms), lambda k: comm_power(k, q).terms, _field_quotient, lambda sol, s: sol
 
 
 def _back_substitute(rem, d: int, vector, quotient):
     """({k: c}, s): the coordinates c of the term map rem, of grading d, on
-    the basis vectors (d, k), and the factor s rem was scaled by.  vector(k)
-    is {j: f} for the terms f B^j A^j of [A,B]^k (the (d, k) vector has them
-    at (j + max(d, 0), j + max(-d, 0))).  quotient(a, b) is (c, s) with
-    a s = c b for the pivot entry a and the leading coefficient b; s != 1
-    scales rem and the coordinates so far.  Each k is visited once, so a
-    pivot that fails to cancel ends in the error below, not in a loop."""
+    the basis vectors (d, k), and the factor s rem was scaled by; rem is
+    changed in place.  vector(k) is the term map of [A,B]^k, keyed (j, j)
+    (the (d, k) vector has its terms at (j + max(d, 0), j + max(-d, 0))).
+    quotient(a, b) is (c, s) with a s = c b for the pivot entry a and the
+    leading coefficient b; s != 1 scales rem and the coordinates so far.
+    Each k is visited once, so a pivot that fails to cancel ends in the
+    error below, not in a loop."""
     dm, dn = max(d, 0), max(-d, 0)
     coords, scale = {}, 1
     for k in range(max(min(key) for key in rem), -1, -1):
@@ -760,14 +717,14 @@ def _back_substitute(rem, d: int, vector, quotient):
         if key not in rem:
             continue
         vec = vector(k)
-        c, s = quotient(rem[key], vec[k])
+        c, s = quotient(rem[key], vec[k, k])
         if s != 1:
             for t in (rem, coords):
                 for j in t:
                     t[j] *= s
             scale *= s
         coords[k] = c
-        add_terms(rem, (((j + dm, j + dn), -c * f) for j, f in vec.items()))
+        add_terms(rem, (((j + dm, j + dn), -c * f) for (j, _), f in vec.items()))
     if rem:
         raise AssertionError("triangular solve lost its pivot")
     return coords, scale
@@ -780,7 +737,8 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
     A-degree is (q-1)^k q^C(k,2) B^k A^k shifted by d, invertible whenever q
     is not 0 or 1, so the coordinates come out k = kmax down to 0, kmax the
     part's largest min(m, n).  One pivot loop (``_back_substitute``) runs on
-    the codec the part fits, and each coordinate is decoded once:
+    the codec the part fits, reading each [A,B]^k packed by
+    ``_packed_terms`` at the same width, and each coordinate is decoded once:
 
     - symbolic q, coefficients in Z[q]: the part times P = (q-1)^kmax
       q^C(kmax,2), packed at q = 2^K.  By the ``bnan_expand`` closed form,
@@ -791,18 +749,22 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
       times their vectors, so K is ``_width`` of 2^kmax |x|_1 (1 + the sum
       over k <= kmax of the largest l1 norm in [A,B]^k).  A coordinate is
       C/P.
-    - rational q, constant coefficients: the integers of ``_encode`` over
-      one denominator D, and each [A,B]^k over the lcm of its own.  When a
+    - rational q, constant coefficients: the part's integers over its lcm
+      denominator D, and each [A,B]^k over the lcm of its own.  When a
       leading coefficient does not divide its pivot entry, the remainder
       and the coordinates so far are scaled up until it does, and D with
       them.
     - anything else: Q(q).
+
+    The remainder is a copy, so the packs kept with x, or with a cached
+    element such as ``comm_power(k, q)``, are never changed.
     """
     q = x.q
     _require_not_01(q, "to_lie_power_basis")
     coords: Dict[Tuple[int, int], RationalFunction] = {}
-    for d, part in grade(x).parts.items():
-        rem, vector, quotient, decode = _basis_codec(part.terms, q)
+    parts = grade(x).parts  # popped: each part and its packs go before its solve
+    for d in list(parts):
+        rem, vector, quotient, decode = _basis_codec(parts.pop(d))
         coords.update(((d, k), c) for k, c in decode(*_back_substitute(rem, d, vector, quotient)).items())
     return LiePowerCoords(q, coords)
 

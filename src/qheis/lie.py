@@ -32,8 +32,9 @@ from .heis import (
     DegenerateQError,
     LiePowerCoords,
     NormalElement,
+    _codec,
     _decode,
-    _encode,
+    _packed_terms,
     bracketed_word,
     comm_power,
     commutator,
@@ -755,11 +756,11 @@ def zero_basis_coords(x: NormalElement) -> Dict[object, RationalFunction]:
     Triangular solve: mixed PBW keys are cleared top-down through the
     closed bracketed-word expansions, then pure powers are rewritten via
     A^n = B^2 A^(n+2) - <B^2 A^(n+2)> - 2<B A^(n+1)> and its mirror.  With
-    constant coefficients it runs on the ints of ``_encode``, else on Q(q).
+    constant coefficients it runs on a copy of x's packed ints, else on Q(q).
     """
     _require_zero(x.q, "zero_basis_coords")
-    enc = _encode(x.terms)
-    rem = dict(x.terms) if enc is None else enc[1]
+    cx = _codec(x)
+    rem = dict(_packed_terms(x, cx[0]) if cx else x.terms)
     coords: Dict = {}  # ints or RationalFunctions, as rem; neither holds a 0
     while True:
         mixed = [k for k in rem if k[0] >= 1 and k[1] >= 1]
@@ -768,7 +769,7 @@ def zero_basis_coords(x: NormalElement) -> Dict[object, RationalFunction]:
         m, n = max(mixed, key=lambda k: (k[0] + k[1], k))
         c = rem[(m, n)]
         add_terms(coords, ((BrMN(m, n), c),))
-        add_terms(rem, ((key, -c * v.num.coeffs[0]) for key, v in brmn_closed(m, n).terms.items()))
+        add_terms(rem, ((key, -c * v) for key, v in _packed_terms(brmn_closed(m, n), 1).items()))
     for (m, n), c in sorted(rem.items()):
         if (m, n) == (0, 0):
             terms = ((Unit(), c),)
@@ -787,7 +788,7 @@ def zero_basis_coords(x: NormalElement) -> Dict[object, RationalFunction]:
         else:
             raise AssertionError("unexpected residual key %r" % ((m, n),))
         add_terms(coords, terms)
-    return coords if enc is None else _decode(enc[0], coords)
+    return _decode(cx[0], coords) if cx else coords
 
 
 def membership_zero(x: NormalElement) -> bool:

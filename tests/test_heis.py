@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qheis import heis
+from qheis import heis, lie
 from qheis.coeff import (
     IntPoly,
     QValue,
@@ -239,7 +239,7 @@ def schoolbook_product(x, y):
         for (m2, n2), c2 in y.terms.items():
             c12 = c1 * c2
             if n1 and m2:
-                terms = [((m1 + a, b + n2), c12 * f) for (a, b), f in _an_bk_expansion(n1, m2, q)]
+                terms = [((m1 + a, b + n2), c12 * f) for (a, b), f in _an_bk_expansion(n1, m2, q).terms.items()]
             else:
                 terms = (((m1 + m2, n1 + n2), c12),)
             for key, c in terms:
@@ -269,11 +269,11 @@ def test_an_bk_expansion_matches_the_absorb_loop():
     # at q = 0, AB = I makes A^n B^k one pure power with coefficient 1
     for n in range(31):
         for k in range(31):
-            assert _an_bk_expansion(n, k, Q0) == absorb_an_bk(n, k, Q0), (n, k)
+            assert tuple(_an_bk_expansion(n, k, Q0).terms.items()) == absorb_an_bk(n, k, Q0), (n, k)
     for q in (SYM, QValue.rational(2), QValue.parse("-1/3"), QValue.rational(-1)):
         for n in range(7):
             for k in range(7):
-                assert _an_bk_expansion(n, k, q) == absorb_an_bk(n, k, q), (q, n, k)
+                assert tuple(_an_bk_expansion(n, k, q).terms.items()) == absorb_an_bk(n, k, q), (q, n, k)
 
 
 def assert_same_product(x, y):
@@ -623,7 +623,8 @@ def test_kept_packs_match_fresh_elements_and_the_field_loop(data):
     if q.is_symbolic:
         assert len(heis._codec(x)[2]) >= 2
     else:
-        assert heis._codec(x) == heis._encode(x.terms)
+        D = heis._codec(x)[0]
+        assert (D, heis._packed_terms(x, D)) == heis._encode(x.terms)
 
 
 def test_kept_l1_sums_bound_term_pairs_that_meet():
@@ -682,7 +683,7 @@ def test_grade_sums_back():
     rng = random.Random(13)
     for _ in range(30):
         x = rand_normal(rng)
-        assert grade(x).total(SYM) == x
+        assert lincomb(((RF_ONE, p) for p in grade(x).parts.values()), SYM) == x
 
 
 def test_product_adds_degrees():
@@ -916,7 +917,7 @@ def test_to_lie_power_basis_matches_the_field_loop(data):
         else:
             fits = all(len(c.num.coeffs) < 2 and len(c.den.coeffs) == 1 for c in part.terms.values())
             want = _rescaling_quotient if fits else _field_quotient
-        assert _basis_codec(part.terms, q)[2] is want
+        assert _basis_codec(part)[2] is want
 
 
 def test_to_lie_power_basis_named_cases():
@@ -941,13 +942,52 @@ def test_to_lie_power_basis_named_cases():
         assert list(to_lie_power_basis(x).coords.items()) == list(reference_to_lie_power_basis(x).coords.items())
     # a key off the pivots of its grading is never solved
     with pytest.raises(AssertionError, match="lost its pivot"):
-        vector = lambda k: {j: f for (j, _), f in comm_power(k, SYM).terms.items()}
+        vector = lambda k: comm_power(k, SYM).terms
         _back_substitute({(1, 0): RF_ONE, (2, 2): RF_ONE}, 0, vector, _field_quotient)
     assert _rescaling_quotient(6, -4) == (-3, 2)
     assert _rescaling_quotient(-8, 4) == (-2, 1)
     assert _exact_quotient(-8, 4) == (-2, 1)
     with pytest.raises(AssertionError, match="remainder"):
         _exact_quotient(6, 4)
+
+
+def assert_packs_as_fresh(x):
+    """The packs x keeps equal those of a fresh copy packed at the same widths."""
+    fresh = NormalElement(x.q, dict(x.terms))
+    for W in heis._codec(x)[2]:
+        heis._packed_terms(fresh, W)
+    assert heis._codec(x) == heis._codec(fresh), x
+
+
+@pytest.mark.parametrize("q", [SYM, QValue.parse("-1/3"), Q0], ids=str)
+def test_basis_changes_leave_the_packs_of_cached_inputs_intact(q):
+    # to_lie_power_basis and zero_basis_coords change their remainder in
+    # place, so they must solve on a copy of what the memo keeps: the packs of
+    # the lru-cached <w> and [A,B]^k (inputs, and the vectors the solve reads)
+    # stay as a fresh copy's, and products with them still match the loop
+    # over Q(q)
+    cached = [bracketed_word(w, q) for w in enumerate_regular(6)] + [comm_power(k, q) for k in range(7)]
+    partner = mono(1, 0, q) + mono(0, 1, q) + mono(1, 2, q, rf_int(-3))
+    for x in cached:
+        fx = NormalElement(q, dict(x.terms))
+        for _ in range(2):
+            if q.is_zero:
+                assert lie.zero_basis_coords(x) == lie.zero_basis_coords(fx)
+                continue
+            assert to_lie_power_basis(x) == to_lie_power_basis(fx)
+            if x.terms:
+                # one grading part: the basis codec reads x's own packs
+                (d,) = grade(x).parts
+                rem, vector, quotient, decode = _basis_codec(x)
+                want = {k: c for (_, k), c in to_lie_power_basis(fx).coords.items()}
+                assert decode(*_back_substitute(rem, d, vector, quotient)) == want
+        for y in [x] + [comm_power(k, q) for k in range(7)]:
+            assert_packs_as_fresh(y)
+        want = schoolbook_product(fx, partner)
+        assert list((x * partner).terms.items()) == list(want.terms.items())
+        assert commutator(partner, x) == schoolbook_product(partner, fx) - want
+        pairs = [(RF_Q if q.is_symbolic else rf_int(5), x), (RF_ONE, partner)]
+        assert lincomb(pairs, q) == reference_lincomb([(c, NormalElement(q, dict(y.terms))) for c, y in pairs], q)
 
 
 # -- rendering ---------------------------------------------------------------------

@@ -355,8 +355,12 @@ def test_ci_value_at_q_0_and_1_raises_as_the_field_chain():
 def test_closed_form_suites_make_no_normalize_calls():
     """Every scalar of table1 and bigcomrel is built in canonical form, so at
     symbolic q and default bounds no coefficient goes through the generic
-    ``_normalize``.  A fresh process, so that no element cached by another
-    test hides a call."""
+    ``_normalize``.  shift and reorder build theirs in canonical form too and
+    multiply in Z[q]; what is left is the scaling by a power q^-e and, in
+    reorder, 16 sums with the scaled terms: 470 and 48 calls (2,226 and 262
+    when shift scaled before multiplying and reorder built q^-n and
+    q^-1 {n}_(1/q) by chains over Q(q)).  A fresh process, so that no
+    element cached by another test hides a call."""
     script = textwrap.dedent("""
         import qheis.coeff as coeff
         from qheis.coeff import SYMBOLIC_Q
@@ -365,7 +369,7 @@ def test_closed_form_suites_make_no_normalize_calls():
         calls = []
         normalize = coeff._normalize
         coeff._normalize = lambda num, den: calls.append(1) or normalize(num, den)
-        for suite in ("table1", "bigcomrel"):
+        for suite in ("table1", "bigcomrel", "shift", "reorder"):
             entries = len(run_suite(SuiteConfig(suite, SYMBOLIC_Q)).entries)
             print(suite, entries > 0, len(calls))
             calls.clear()
@@ -373,7 +377,9 @@ def test_closed_form_suites_make_no_normalize_calls():
     src = os.path.dirname(os.path.dirname(os.path.abspath(qheis.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["table1", "True", "0", "bigcomrel", "True", "0"]
+    assert out.stdout.split() == ["table1", "True", "0", "bigcomrel", "True", "0"] + [
+        "shift", "True", "470", "reorder", "True", "48"
+    ]
 
 
 def test_bigcomrel_all_three_cases():
