@@ -137,9 +137,10 @@ def _cmd_eval(args) -> int:
         return 2
     print("expression:   %s" % pretty(ast))
     print("q:            %s" % q.render())
-    print("normal form:  %s" % result.normal.render())
-    for d, part in result.graded.parts.items():
-        print("  degree %+d:  %s" % (d, part.render()))
+    parts = {d: part.render() for d, part in result.graded.parts.items()}
+    print("normal form:  %s" % (" + ".join(parts.values()) or "0"))
+    for d, text in parts.items():
+        print("  degree %+d:  %s" % (d, text))
     if result.lie_coords is not None:
         print("[A,B]-basis:  %s" % result.lie_coords.render())
     if result.membership is None:

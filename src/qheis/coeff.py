@@ -239,26 +239,32 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def render(self, var: str = "q") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                head = "" if abs(c) == 1 else "%d*" % abs(c)
-                body = "%s%s" % (head, var if i == 1 else "%s^%d" % (var, i))
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+    def render(self) -> str:
+        if len(self.coeffs) < 2:  # a constant, the most common text at rational q
+            return str(self.coeffs[0]) if self.coeffs else "0"
+        text = _TERM_TEXT
+        parts = [text.get((c, i)) or _term_text(c, i) for i, c in enumerate(self.coeffs) if c]
+        head = parts[0]
+        parts[0] = head[2:] if head[0] == "+" else "-" + head[2:]
         return " ".join(parts)
 
     def __repr__(self):
         return "IntPoly(%s)" % self.render()
+
+
+# the signed text of the term c q^i as it follows another term ("+ 3*q^5",
+# "- q", "+ 7"), kept for |c| < 128 and i < 128: at most 255 x 128 strings
+_TERM_TEXT: dict = {}
+
+
+def _term_text(c: int, i: int) -> str:
+    """The ``_TERM_TEXT`` entry of c q^i (c != 0), kept within the bounds."""
+    a = abs(c)
+    body = str(a) if i == 0 else ("" if a == 1 else "%d*" % a) + ("q" if i == 1 else "q^%d" % i)
+    text = ("+ " if c > 0 else "- ") + body
+    if a < 128 and i < 128:
+        _TERM_TEXT[c, i] = text
+    return text
 
 
 _P_ZERO = IntPoly()
@@ -715,13 +721,18 @@ def q_binomial(n: int, i: int, z: RationalFunction) -> RationalFunction:
     """Gaussian binomial (n choose i)_z; requires 0 <= i <= n.
 
     Evaluated as a polynomial in z, so it is defined for every z (the
-    factorial quotient would divide by zero at roots of unity).
+    factorial quotient would divide by zero at roots of unity); by Horner
+    over Q(q) unless z is q or 1/q.
     """
     if i < 0 or i > n:
         raise CoefficientError("q_binomial needs 0 <= i <= n, got i=%d n=%d" % (i, n))
     poly = _gauss_binomial_poly(n, i)
     if z.num.coeffs == (0, 1) and z.den.coeffs == (1,):  # z = q: the polynomial itself
         return RationalFunction(poly, _P_ONE, _raw=True)
+    if z.num.coeffs == (1,) and z.den.coeffs == (0, 1):
+        # z = 1/q: (n i)_q is palindromic of degree i (n - i), so
+        # (n i)_(1/q) = q^-(i (n - i)) (n i)_q
+        return _over_q_q1(poly, i * (n - i), 0)
     acc = RF_ZERO
     for c in reversed(poly.coeffs):
         acc = acc * z + RationalFunction.from_int(c)

@@ -21,9 +21,9 @@ l1-norm bound).  At rational q each must be a constant n/d and becomes
 n W/d, W a multiple of the lcm denominator D; `lincomb` also needs two pairs
 or more, and `lie.zero_basis_coords` solves on the same ints.  Packed
 values go to and from their balanced base-2^K digits (`_pack`, `_unpack`)
-by shift loops below 4 kbit, else in one pass linear in the length, and
-native 16, 32 or 64-bit digits unpack by one memoryview cast.  A sum over
-q^a (q-1)^b decodes by `coeff._over_q_q1`, not the generic `_normalize`.
+as native signed ints in one C-level pass at K = 16, 32 and 64, else by
+shift loops below 4 kbit and one bytes pass above.  A sum over q^a (q-1)^b
+decodes by `coeff._over_q_q1`, not the generic `_normalize`.
 
 `to_lie_power_basis` back-substitutes each grading part in one pivot loop
 on the same codecs.  At symbolic q the part is first multiplied by
@@ -41,6 +41,7 @@ import re
 import struct
 import sys
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
@@ -54,6 +55,7 @@ from .coeff import (
     QValue,
     RationalFunction,
     _const,
+    _monic_q_q1,
     _over_q_q1,
     _q_q1_poly,
     _split_q_q1,
@@ -138,6 +140,11 @@ class NormalElement:
     def scale(self, c: RationalFunction) -> "NormalElement":
         if c.is_zero():
             return NormalElement.zero(self.q)
+        e = len(c.den.coeffs) - 1
+        if c.num.coeffs == (1,) and e and c.den == _monic_q_q1(e, 0):
+            # c = q^-e: on Z[q] coefficients only factors q can cancel
+            if all(x.den.coeffs == (1,) for x in self.terms.values()):
+                return NormalElement(self.q, {k: _over_q_q1(x.num, e, 0) for k, x in self.terms.items()}, _raw=True)
         return NormalElement(self.q, {k: x * c for k, x in self.terms.items()}, _raw=True)
 
     # -- multiplication -------------------------------------------------
@@ -356,50 +363,56 @@ def _width(bound: int) -> int:
 
 
 # From this many bits (digits times K) up, ``_pack`` and ``_unpack`` make one
-# bytes pass, linear in the length; below it the shift loops are faster (in
-# timeit from about 2-3 kbit for K = 16 to 64, 5-10 kbit for K = 352).
+# bytes pass for a K that is no native width; below it the shift loops are
+# faster (in timeit from about 2-3 kbit for K = 48, 5-10 kbit for K = 352).
 _BYTES_FROM_BITS = 4096
-# A digit of K in {16, 32, 64} bits is one native unsigned integer, so from
-# this many digits up ``_unpack`` reads them all with one memoryview cast,
-# which beats the shift loop from far fewer digits than byte slicing does.
-_CASTS = {8 * struct.calcsize(c): c for c in "HIQ"}
-_CAST_FROM = 12
-# to_bytes in native order gives the digits lowest first on a little-endian
-# machine and highest first on a big-endian one
+# a digit of K in {16, 32, 64} bits is one native signed int
+_CASTS = {8 * struct.calcsize(c): c for c in "hiq"}
+# native byte order gives the digits lowest first on a little-endian machine
+# and highest first on a big-endian one
 _LOWEST_FIRST = 1 if sys.byteorder == "little" else -1
 
 
+@lru_cache(maxsize=256)
 def _halves(K: int, n: int) -> int:
-    """2^(K-1) in each of n base-2^K digits: the offset that makes a
-    balanced digit in [-2^(K-1), 2^(K-1)) an unsigned one.  K is a multiple
-    of 16, so a digit is K/8 whole bytes."""
+    """2^(K-1) in each of n base-2^K digits: added, it makes a balanced digit
+    in [-2^(K-1), 2^(K-1)) an unsigned one; xored, it flips each digit's top
+    bit, which turns the unsigned digit into the balanced digit's two's
+    complement and back.  K is a multiple of 16: K/8 whole bytes a digit."""
     return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * n, "little")
 
 
 def _pack(cs, K: int) -> int:
-    """The polynomial with coefficients cs (lowest first) at q = 2^K."""
-    if len(cs) * K >= _BYTES_FROM_BITS:
-        B, half = K // 8, 1 << (K - 1)
-        try:
-            raw = b"".join((c + half).to_bytes(B, "little") for c in cs)
-        except OverflowError:  # a c that is no balanced digit
-            pass
-        else:
+    """The polynomial with coefficients cs (lowest first) at q = 2^K: at a
+    native K their two's complements xor ``_halves`` are the value plus
+    ``_halves``; a c that is no balanced digit takes the shift loop."""
+    code = _CASTS.get(K)
+    try:
+        if code:
+            h = _halves(K, len(cs))
+            return (int.from_bytes(array(code, cs[::_LOWEST_FIRST]).tobytes(), sys.byteorder) ^ h) - h
+        if len(cs) * K >= _BYTES_FROM_BITS:
+            half = 1 << (K - 1)
+            raw = b"".join((c + half).to_bytes(K // 8, "little") for c in cs)
             return int.from_bytes(raw, "little") - _halves(K, len(cs))
+    except OverflowError:  # a c that is no balanced digit
+        pass
     return sum(c << K * i for i, c in enumerate(cs))
 
 
 def _unpack(v: int, K: int) -> IntPoly:
     """The polynomial packed as v at q = 2^K, from balanced base-2^K digits
     (each in [-2^(K-1), 2^(K-1))): v plus ``_halves`` has the unsigned
-    digits, read by one memoryview cast where K is a native integer width,
-    else by byte slices; short values take the shift loop."""
-    half = 1 << (K - 1)
+    digits, and at a native K, xored with it, their two's complements for one
+    signed memoryview cast; other K read byte slices or shift."""
     # |v| < 2^(K m), m = v.bit_length() // K + 1, takes at most m + 1 digits
     n = v.bit_length() // K + 2
-    if n >= _CAST_FROM and K in _CASTS:
-        raw = (v + _halves(K, n)).to_bytes(n * K // 8, sys.byteorder)
-        return IntPoly([d - half for d in memoryview(raw).cast(_CASTS[K])[::_LOWEST_FIRST]])
+    code = _CASTS.get(K)
+    if code:
+        h = _halves(K, n)
+        raw = ((v + h) ^ h).to_bytes(n * K // 8, sys.byteorder)
+        return IntPoly(memoryview(raw).cast(code)[::_LOWEST_FIRST].tolist())
+    half = 1 << (K - 1)
     if n * K > _BYTES_FROM_BITS:
         B = K // 8
         raw = (v + _halves(K, n)).to_bytes(n * B, "little")

@@ -1,8 +1,9 @@
 """Test-only readers and evaluators that the program itself never calls:
 a report read back from its JSON, a coefficient specialized at a rational q,
-a free-algebra element built from (word, coefficient) pairs, and the chains
-of Q(q) operations that built the closed-form scalars before
-``coeff.q_laurent``, kept as references."""
+a free-algebra element built from (word, coefficient) pairs, and, kept as
+references, the chains of Q(q) operations that built the closed-form scalars
+before ``coeff.q_laurent`` and the term-by-term coefficient text that
+``IntPoly.render`` wrote before its memo of term strings."""
 
 import json
 from fractions import Fraction
@@ -93,3 +94,37 @@ def field_ci_value(ci, q) -> RationalFunction:
     front = (q.scalar() - RF_ONE) ** (-ci.n)
     v = horner_q_binomial(ci.n, ci.i, q.scalar()) * (q.power(ci.e1) - q.power(ci.e2))
     return (-v if (ci.n - ci.i) % 2 else v) * front
+
+
+def render_poly(p: IntPoly) -> str:
+    """The text of p, term by term, lowest degree first: "1 - 2*q + q^3"."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            body = str(abs(c))
+        else:
+            head = "" if abs(c) == 1 else "%d*" % abs(c)
+            body = "%s%s" % (head, "q" if i == 1 else "q^%d" % i)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def render_rational(f: RationalFunction) -> str:
+    """The text of f by ``render_poly``: num/den, each side parenthesized
+    where it has more than one term, and the numerator alone over 1."""
+    num = render_poly(f.num)
+    if f.den.coeffs == (1,):
+        return num
+    den = render_poly(f.den)
+    if len(f.num.coeffs) - f.num.coeffs.count(0) > 1:
+        num = "(%s)" % num
+    if len(f.den.coeffs) - f.den.coeffs.count(0) > 1:
+        den = "(%s)" % den
+    return "%s/%s" % (num, den)

@@ -10,6 +10,7 @@ import pytest
 
 from qheis.cli import _build_parser, _check_writable, main
 from qheis.coeff import QValue
+from qheis.expr import eval_expr, parse
 from qheis.lie import KNOWN_DISCREPANCIES, table1_cells
 from qheis.suites import SUITES, SuiteConfig, run_suite
 
@@ -299,6 +300,21 @@ def test_cli_eval_names_division_by_zero(capsys):
     assert "division by zero" in capsys.readouterr().err
     assert main(["eval", "A^-1"]) == 2
     assert "non-scalar" in capsys.readouterr().err
+
+
+def test_cli_eval_normal_form_is_the_join_of_its_degree_lines(capsys):
+    # each grading part is rendered once; the normal form joins them in order
+    for q, text in (("symbolic", "(A + B)^5 - q*[A,B]^2 + 3*(q-1)^-1"), ("-1/3", "(A + 2*B)^4"), ("0", "<BBA> + A")):
+        assert main(["eval", "--q", q, text]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        normal = [l for l in lines if l.startswith("normal form:  ")]
+        degrees = [l.split(":  ", 1)[1] for l in lines if l.startswith("  degree ")]
+        assert len(normal) == 1 and len(degrees) > 1
+        assert normal[0] == "normal form:  " + " + ".join(degrees)
+        assert normal[0][len("normal form:  "):] == eval_expr(parse(text), QValue.parse(q)).normal.render()
+    assert main(["eval", "A*B - q*B*A - I"]) == 0
+    out = capsys.readouterr().out
+    assert "normal form:  0\n" in out and "  degree " not in out
 
 
 def test_cli_eval_negative_power_of_a_multiple_of_identity_in_hq(capsys):

@@ -31,7 +31,7 @@ from qheis.coeff import (
     q_power,
 )
 
-from helpers import field_q_laurent, horner_q_binomial, specialize
+from helpers import field_q_laurent, horner_q_binomial, render_poly, render_rational, specialize
 
 
 def poly(*coeffs):
@@ -664,6 +664,16 @@ def test_q_binomial_inversion_identity():
             assert lhs == rhs
 
 
+def test_q_binomial_at_inverse_q_is_the_reversed_gaussian_polynomial():
+    # canonical without Horner or _normalize: over q^(i (n - i)), with no
+    # factor q left to cancel, since (n i)_q has constant coefficient 1
+    for n in range(21):
+        for i in range(n + 1):
+            got = q_binomial(n, i, RF_Q.inv())
+            assert parts(got) == parts(horner_q_binomial(n, i, RF_Q.inv()))
+            assert got.num is _gauss_binomial_poly(n, i)
+
+
 def test_q_binomial_defined_at_roots_of_unity():
     minus_one = RationalFunction.from_int(-1)
     assert q_binomial(2, 1, minus_one) == RF_ZERO
@@ -675,6 +685,39 @@ def test_q_binomial_index_errors():
         q_binomial(3, -1, RF_Q)
     with pytest.raises(CoefficientError):
         q_binomial(3, 4, RF_Q)
+
+
+# the memo of term strings keeps |c| < 128 and i < 128; the coefficients
+# reach past both bounds, with zero gaps and either sign in front
+render_coeff = st.one_of(
+    st.sampled_from([0, 1, -1, 127, -127, 128, -128, 129, 10**30, -(10**30)]),
+    st.integers(-300, 300),
+)
+render_poly_st = st.lists(render_coeff, max_size=12).flatmap(
+    lambda cs: st.integers(0, 160).map(lambda shift: IntPoly([0] * shift + cs))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_poly_st, render_poly_st)
+def test_render_matches_the_term_by_term_reference(num, den):
+    assert num.render() == render_poly(num)
+    if den.coeffs:
+        # canonical fractions: parenthesized sides, a negative leading term
+        # moved to the numerator
+        for f in (RationalFunction(num, den), RationalFunction(-num, den)):
+            assert f.render() == render_rational(f)
+    f = RationalFunction(num, den, _raw=True) if den.coeffs else RationalFunction(num)
+    assert f.render() == render_rational(f)
+
+
+def test_render_examples():
+    assert poly().render() == "0"
+    assert poly(-1).render() == "-1"
+    assert poly(0, -1, 0, 128).render() == "-q + 128*q^3"
+    assert poly(*([0] * 130 + [-3, 0, 1])).render() == "-3*q^130 + q^132"
+    assert rf((1, 1), (0, 0, 1)).render() == "(1 + q)/q^2"
+    assert rf((-2,), (-1, 1)).render() == "-2/(-1 + q)"
 
 
 def test_binom2():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 from fractions import Fraction
 from operator import eq
 from unittest import mock
@@ -28,7 +29,6 @@ from qheis.heis import (
     NormalElement,
     QMismatchError,
     _BYTES_FROM_BITS,
-    _CAST_FROM,
     _an_bk_expansion,
     _back_substitute,
     _basis_codec,
@@ -330,45 +330,72 @@ def test_packed_product_named_cases():
     assert_same_product(mono(0, 14) - mono(2, 3), mono(13, 1, c=rf_int(-(2**40))) + mono(0, 0))
 
 
+PACK_WIDTHS = (16, 32, 48, 64, 352)
+
+
+def shift_unpack(v, K):
+    """The balanced base-2^K digits of v, lowest first, by the shift loop."""
+    half, cs = 1 << (K - 1), []
+    while v:
+        cs.append(((v + half) & ((1 << K) - 1)) - half)
+        v = (v - cs[-1]) >> K
+    return tuple(cs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_unpack_inverts_pack(data):
-    # lengths on both sides of the cast and the bytes-pass cut-offs (the
-    # latter at _BYTES_FROM_BITS / K digits: 256 at K = 16, 12 at K = 352),
-    # digits at the edges of the balanced range [-2^(K-1), 2^(K-1)); 16, 32
-    # and 64 unpack by the cast, 48 and 352 by the byte slices
-    K = data.draw(st.sampled_from([16, 32, 48, 64, 352]))
+    # lengths 0, 1, 2, 300 and on both sides of the bytes-pass cut-off for
+    # the widths that are no native integer (_BYTES_FROM_BITS / K digits:
+    # 86 at K = 48, 12 at K = 352), digits at the edges of the balanced range
+    # [-2^(K-1), 2^(K-1)); 16, 32 and 64 convert by signed casts at every
+    # length, 48 and 352 by byte slices or the shift loops
+    K = data.draw(st.sampled_from(PACK_WIDTHS))
     top = 2 ** (K - 1) - 1
     cut = -(-_BYTES_FROM_BITS // K)
-    n = data.draw(
-        st.one_of(
-            st.integers(0, 300),
-            st.integers(_CAST_FROM - 4, _CAST_FROM + 2),
-            st.integers(cut - 3, cut + 3),
-        )
-    )
+    n = data.draw(st.one_of(st.sampled_from([0, 1, 2, 300]), st.integers(0, 300), st.integers(cut - 3, cut + 3)))
     rng = data.draw(st.randoms(use_true_random=False))
-    digits = [top, -top, -top - 1, 0, 1, -1, rng.randrange(-top, top)]
+    digits = [top, -top - 1, 0, 1, -1, rng.randrange(-top, top)]
     cs = [rng.choice(digits) for _ in range(n)]
     if cs and not cs[-1]:
         cs[-1] = top
     v = _pack(cs, K)
     assert v == sum(c << K * i for i, c in enumerate(cs))
-    assert _unpack(v, K).coeffs == tuple(cs)
+    assert _unpack(v, K).coeffs == tuple(cs) == shift_unpack(v, K)
+
+
+def test_pack_and_unpack_at_the_edge_digits():
+    # every length of 0, 1, 2, 300 filled with one edge digit, at every
+    # width: the top digit's sign bit is what the casts flip
+    for K in PACK_WIDTHS:
+        for n in (0, 1, 2, 300):
+            for d in (-(2 ** (K - 1)), 2 ** (K - 1) - 1, 0, 1, -1):
+                for cs in ([d] * n, [d] * n + [1], [1] * n + [d]):
+                    v = _pack(cs, K)
+                    assert v == sum(c << K * i for i, c in enumerate(cs))
+                    assert _unpack(v, K).coeffs == IntPoly(cs).coeffs == shift_unpack(v, K)
 
 
 def test_pack_of_digits_outside_the_balanced_range():
-    # 2^(K-1) is no balanced digit: _pack still evaluates at q = 2^K, and
-    # _unpack reads the value back in balanced digits, by the shift loop, the
-    # cast (K = 16, 32, 64) or the byte slices (K = 48, 352), on both sides
-    # of the bytes-pass cut-off
-    for K in (16, 32, 48, 64, 352):
+    # 2^(K-1) and -2^(K-1) - 1 are no balanced digits: a native width's
+    # array raises OverflowError and _pack falls back to the shift sum, a
+    # wider one's bytes pass likewise; either way _pack evaluates at q = 2^K,
+    # and _unpack reads the value back in balanced digits
+    for K in PACK_WIDTHS:
+        if K in heis._CASTS:
+            for c in (2 ** (K - 1), -(2 ** (K - 1)) - 1):
+                with pytest.raises(OverflowError):
+                    array(heis._CASTS[K], [c])
         cut = -(-_BYTES_FROM_BITS // K)
-        for n in sorted({2, _CAST_FROM - 3, _CAST_FROM, cut - 1, cut, cut + 1, 200}):
+        for n in sorted({1, 2, cut - 1, cut, cut + 1, 200, 300}):
             cs = [2 ** (K - 1)] * n
             v = _pack(cs, K)
             assert v == sum(c << K * i for i, c in enumerate(cs))
             assert _unpack(v, K).coeffs == tuple([-(2 ** (K - 1))] + [1 - 2 ** (K - 1)] * (n - 1) + [1])
+            cs = [0] * (n - 1) + [-(2 ** (K - 1)) - 1]
+            v = _pack(cs, K)
+            assert v == -(2 ** (K - 1) + 1) << K * (n - 1)
+            assert _unpack(v, K).coeffs == tuple([0] * (n - 1) + [2 ** (K - 1) - 1, -1])
 
 
 def test_non_unit_denominator_takes_the_schoolbook_path():
@@ -433,6 +460,23 @@ def test_constant_q_product_named_cases():
         y = a1 + mono(2, 2, q, POLY)
         assert _packed_product(y, b1) is None
         assert list((y * b1).terms.items()) == list(schoolbook_product(y, b1).terms.items())
+
+
+def test_scale_by_a_negative_power_of_q_cancels_only_q():
+    # Z[q] coefficients by q^-e take _over_q_q1; each result must be the
+    # canonical product over Q(q), at every e, with and without factors q to
+    # cancel, and a non-Z[q] coefficient sends the element to the product loop
+    polys = [IntPoly([0, 0, 3]), IntPoly([-2, 0, 1]), IntPoly([0, 4, -6]), IntPoly([5]), IntPoly([0, 0, 0, -1])]
+    for e in range(6):
+        c = RationalFunction(IntPoly([1]), IntPoly.monomial(e)) if e else RF_ONE
+        for extra in (None, RationalFunction(IntPoly([1]), IntPoly([-1, 1]))):
+            x = NormalElement(SYM, {(i, 1): RationalFunction(p) for i, p in enumerate(polys)})
+            if extra is not None:
+                x = x + mono(9, 0, c=extra)
+            got = x.scale(c)
+            assert {k: (v.num.coeffs, v.den.coeffs) for k, v in got.terms.items()} == {
+                k: (v.num.coeffs, v.den.coeffs) for k, v in x.terms.items() for v in [v * c]
+            }
 
 
 def reference_lincomb(pairs, q):

@@ -355,11 +355,12 @@ def test_ci_value_at_q_0_and_1_raises_as_the_field_chain():
 def test_closed_form_suites_make_no_normalize_calls():
     """Every scalar of table1 and bigcomrel is built in canonical form, so at
     symbolic q and default bounds no coefficient goes through the generic
-    ``_normalize``.  shift and reorder build theirs in canonical form too and
-    multiply in Z[q]; what is left is the scaling by a power q^-e and, in
-    reorder, 16 sums with the scaled terms: 470 and 48 calls (2,226 and 262
-    when shift scaled before multiplying and reorder built q^-n and
-    q^-1 {n}_(1/q) by chains over Q(q)).  A fresh process, so that no
+    ``_normalize``.  shift and reorder build theirs in canonical form too,
+    multiply in Z[q] and scale Z[q] coefficients by q^-e through
+    ``_over_q_q1``; what is left is reorder's 16 sums with the scaled terms:
+    0 and 16 calls (470 and 48 when the scaling went through ``_normalize``,
+    2,226 and 262 when shift scaled before multiplying and reorder built q^-n
+    and q^-1 {n}_(1/q) by chains over Q(q)).  A fresh process, so that no
     element cached by another test hides a call."""
     script = textwrap.dedent("""
         import qheis.coeff as coeff
@@ -378,7 +379,7 @@ def test_closed_form_suites_make_no_normalize_calls():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["table1", "True", "0", "bigcomrel", "True", "0"] + [
-        "shift", "True", "470", "reorder", "True", "48"
+        "shift", "True", "0", "reorder", "True", "16"
     ]
 
 
