@@ -137,7 +137,7 @@ def _cmd_eval(args) -> int:
         return 2
     print("expression:   %s" % pretty(ast))
     print("q:            %s" % q.render())
-    parts = {d: part.render() for d, part in result.graded.parts.items()}
+    parts = {d: part.render() for d, part in result.graded.items()}
     print("normal form:  %s" % (" + ".join(parts.values()) or "0"))
     for d, text in parts.items():
         print("  degree %+d:  %s" % (d, text))

@@ -53,18 +53,6 @@ class IntPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "IntPoly":
-        return _P_ZERO
-
-    @staticmethod
-    def one() -> "IntPoly":
-        return _P_ONE
-
-    @staticmethod
-    def q() -> "IntPoly":
-        return _P_Q
-
-    @staticmethod
     def monomial(k: int, c: int = 1) -> "IntPoly":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
@@ -547,13 +535,6 @@ def add_terms(out: dict, pairs) -> dict:
     return out
 
 
-def q_power(k: int) -> RationalFunction:
-    """q^k as a rational function; k may be negative."""
-    if k >= 0:
-        return RationalFunction(IntPoly.monomial(k), _P_ONE, _raw=True)
-    return RationalFunction(_P_ONE, IntPoly.monomial(-k), _raw=True)
-
-
 @dataclass(frozen=True)
 class QValue:
     """The deformation parameter: either symbolic or an exact rational.
@@ -617,13 +598,13 @@ class QValue:
 
     def power(self, k: int) -> RationalFunction:
         """q^k as a scalar; negative k requires q != 0."""
-        if self.value is None:
-            return q_power(k)
-        if k >= 0:
-            return RationalFunction.from_fraction(self.value**k)
-        if self.value == 0:
+        if k < 0 and self.value == 0:
             raise CoefficientError("negative power of q at q = 0")
-        return RationalFunction.from_fraction(self.value**k)
+        if self.value is not None:
+            return RationalFunction.from_fraction(self.value**k)
+        if k >= 0:
+            return RationalFunction(IntPoly.monomial(k), _P_ONE, _raw=True)
+        return RationalFunction(_P_ONE, IntPoly.monomial(-k), _raw=True)
 
     def render(self) -> str:
         return "symbolic" if self.value is None else str(self.value)

@@ -21,11 +21,10 @@ evaluates to its canonical bracketing in H(q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from .coeff import QValue, RationalFunction
 from .heis import (
-    GradedParts,
     LiePowerCoords,
     NormalElement,
     bracketed_word,
@@ -383,7 +382,7 @@ class EvalResult:
     expression: Expression
     q: QValue
     normal: NormalElement
-    graded: GradedParts
+    graded: Dict[int, NormalElement]
     lie_coords: Optional[LiePowerCoords]
     membership: Optional[bool]
     membership_mode: str

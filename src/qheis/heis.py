@@ -19,11 +19,13 @@ whole process.  At symbolic q each coefficient must be in Z[q] and is packed
 into its value at q = 2^W (Kronecker substitution, W = K from a proven
 l1-norm bound).  At rational q each must be a constant n/d and becomes
 n W/d, W a multiple of the lcm denominator D; `lincomb` also needs two pairs
-or more, and `lie.zero_basis_coords` solves on the same ints.  Packed
-values go to and from their balanced base-2^K digits (`_pack`, `_unpack`)
-as native signed ints in one C-level pass at K = 16, 32 and 64, else by
-shift loops below 4 kbit and one bytes pass above.  A sum over q^a (q-1)^b
-decodes by `coeff._over_q_q1`, not the generic `_normalize`.
+or more.  One encoder, `_scalars`, brings the scalars c of `lincomb` over
+one denominator, and one decoder, `_decode`, turns every kernel's ints back
+into coefficients, `lie.zero_basis_coords` included: over q^a (q-1)^b by
+`coeff._over_q_q1` (not the generic `_normalize`), or over an int D by one
+gcd.  Packed values go to and from their balanced base-2^K digits (`_pack`,
+`_unpack`) as native signed ints in one C-level pass at K = 16, 32 and 64,
+else by shift loops below 4 kbit and one bytes pass above.
 
 `to_lie_power_basis` back-substitutes each grading part in one pivot loop
 on the same codecs.  At symbolic q the part is first multiplied by
@@ -43,7 +45,7 @@ import sys
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Dict, Tuple
@@ -240,25 +242,42 @@ def _an_bk_expansion(n: int, k: int, q: QValue) -> NormalElement:
     return NormalElement(q, dict(sorted(state.items())), _raw=True)
 
 
-def _encode(terms):
-    """(D, {key: n (D/d)}) for a term map whose values are all constants n/d,
-    D the lcm of the d; None if one is not a constant.  Only the scalars c
-    of ``lincomb`` take this; an element's coefficients are packed by
-    ``_packed_terms``."""
-    if any(len(c.num.coeffs) > 1 or len(c.den.coeffs) > 1 for c in terms.values()):
-        return None
-    D = math.lcm(*(c.den.coeffs[0] for c in terms.values()))
-    return D, {key: (c.num.coeffs or (0,))[0] * (D // c.den.coeffs[0]) for key, c in terms.items()}
-
-
-def _decode(D: int, out):
-    """{key: v/D} in lowest terms for a map out with no zero value: one gcd
-    and one ``_const`` per key."""
+def _decode(out, K, den):
+    """{key: v/den} for a packed term map out with no zero value, each key
+    decoded once: the one place where a kernel's ints become coefficients.
+    At symbolic q, K is the width, v a Z[q] value packed at q = 2^K, and
+    den = (a, b) stands for q^a (q - 1)^b, cancelled by ``_over_q_q1``.  At
+    rational q, K is None and den is the int D: one gcd and one ``_const``
+    per key."""
+    if K:
+        a, b = den
+        return {key: _over_q_q1(_unpack(v, K), a, b) for key, v in out.items()}
     res: Dict = {}
     for key, v in out.items():
-        g = math.gcd(v, D)
-        res[key] = _const(v // g, D // g)
+        g = math.gcd(v, den)
+        res[key] = _const(v // g, den // g)
     return res
+
+
+def _scalars(cs, q: QValue):
+    """(nums, den) with c = num/den for each c of cs, or None where a c does
+    not fit the codec of q: the one encoder of the scalars of ``lincomb``
+    (an element's coefficients are packed by ``_packed_terms``).  At
+    symbolic q every c.den must be q^a (q - 1)^b, as in all of H(q)'s closed
+    forms; den = (A, B), the largest a and b, and each num is in Z[q].  At
+    rational q every c must be a constant n/d; den is the lcm D of the d,
+    and each num the int n D/d."""
+    if not q.is_symbolic:
+        if any(len(c.num.coeffs) > 1 or len(c.den.coeffs) > 1 for c in cs):
+            return None
+        D = math.lcm(*(c.den.coeffs[0] for c in cs))
+        return [(c.num.coeffs or (0,))[0] * (D // c.den.coeffs[0]) for c in cs], D
+    split = {d: _split_q_q1(d.coeffs, len(d.coeffs), len(d.coeffs)) for d in {c.den for c in cs}}
+    if not all(tuple(r) == (1,) for r, _, _ in split.values()):
+        return None
+    A = max((a for _, a, _ in split.values()), default=0)
+    B = max((b for _, _, b in split.values()), default=0)
+    return [c.num * _q_q1_poly(1, A - split[c.den][1], B - split[c.den][2]) for c in cs], (A, B)
 
 
 def _reorderings(xt, yt):
@@ -335,26 +354,25 @@ def _packed_product(x: NormalElement, y: NormalElement, commute=False):
     of both) < 2^(K-1), so the digits are exact.  K is a multiple of 16, to
     keep the packed expansions few.  At rational q every coefficient must be
     a constant: x and y are packed over their lcm denominators Dx and Dy, the
-    expansions over the lcm K of theirs, and each sum, of x y and of y x
-    alike, is an integer over Dx Dy K."""
+    expansions over the lcm W of theirs, and each sum, of x y and of y x
+    alike, is an integer over Dx Dy W.  Either way ``_decode`` gives each key
+    of the sum back, over 1 or over Dx Dy W."""
     q, cx, cy = x.q, _codec(x), _codec(y)
     if not (cx and cy):
         return None
     products = ((x.terms, y.terms), (y.terms, x.terms)) if commute else ((x.terms, y.terms),)
     tables = {nm: _an_bk_expansion(*nm, q) for a, b in products for nm in _reorderings(a, b)}
     if q.is_symbolic:
-        K = _width(len(products) * max((_codec(f)[1] for f in tables.values()), default=1) * cx[0] * cy[0])
-        xp, yp = _packed_terms(x, K), _packed_terms(y, K)
-        one, decode = None, lambda out: {key: RationalFunction(_unpack(v, K)) for key, v in out.items()}
+        W = K = _width(len(products) * max((_codec(f)[1] for f in tables.values()), default=1) * cx[0] * cy[0])
+        xp, yp, one, den = _packed_terms(x, K), _packed_terms(y, K), None, (0, 0)
     else:
-        xp, yp = _packed_terms(x, cx[0]), _packed_terms(y, cy[0])
-        K = math.lcm(*(_codec(f)[0] for f in tables.values()))
-        one, decode = K, partial(_decode, cx[0] * cy[0] * K)
-    fp = {nm: _packed_terms(f, K) for nm, f in tables.items()}
+        W, K = math.lcm(*(_codec(f)[0] for f in tables.values())), None
+        xp, yp, one, den = _packed_terms(x, cx[0]), _packed_terms(y, cy[0]), W, cx[0] * cy[0] * W
+    fp = {nm: _packed_terms(f, W) for nm, f in tables.items()}
     out = add_terms({}, _product_terms(xp, yp, fp, one))
     if commute:
         add_terms(out, _product_terms({key: -v for key, v in yp.items()}, xp, fp, one))
-    return decode(out)
+    return _decode(out, K, den)
 
 
 def _width(bound: int) -> int:
@@ -425,57 +443,36 @@ def _unpack(v: int, K: int) -> IntPoly:
     return IntPoly(cs)
 
 
-def _lincomb_codec(pairs, q: QValue):
-    """(cs, xs, decode) for ``lincomb``: each c and each x.terms as ints (the
-    latter read from ``_codec``), or None when a coefficient does not fit the
-    codec of q.
-
-    At symbolic q every coefficient of every x must be in Z[q] and every
-    c.den q^a (q - 1)^b, as in all of H(q)'s closed forms.  The c are brought
-    to the lcm D of the c.den and everything is packed at q = 2^K, K from the
-    l1 bound sum |c.num D/c.den|_1 max |f|_1, as in ``_packed_product``.  At
-    rational q every coefficient must be a constant, and there must be two
-    pairs or more (``scale`` is as fast for one).  ``_encode`` puts the c over
-    their lcm denominator Dc and ``_packed_terms`` each x over its own Dx,
-    brought to the lcm L of the Dx, so every sum is an integer over Dc L."""
-    if not q.is_symbolic:
-        if len(pairs) < 2:
-            return None
-        ec = _encode(dict(enumerate(c for c, _ in pairs)))
-        xs = [] if ec is None else [_codec(x) for _, x in pairs]
-        if not xs or not all(xs):
-            return None
-        Dc, cs = ec
-        L = math.lcm(*(D for D, _, _ in xs))
-        cs = [c * (L // D) for c, (D, _, _) in zip(cs.values(), xs)]
-        return cs, [_packed_terms(x, D) for (_, x), (D, _, _) in zip(pairs, xs)], partial(_decode, Dc * L)
-    if not all(_codec(x) for _, x in pairs):
-        return None
-    split = {d: _split_q_q1(d.coeffs, len(d.coeffs), len(d.coeffs)) for d in {c.den for c, _ in pairs}}
-    if not all(tuple(r) == (1,) for r, _, _ in split.values()):
-        return None
-    A = max((a for _, a, _ in split.values()), default=0)
-    B = max((b for _, _, b in split.values()), default=0)
-    nums = [c.num * _q_q1_poly(1, A - split[c.den][1], B - split[c.den][2]) for c, _ in pairs]
-    norm = max((_codec(x)[1] for _, x in pairs), default=0)
-    K = _width(sum(sum(map(abs, n.coeffs)) for n in nums) * norm)
-    decode = lambda out: {k: _over_q_q1(_unpack(v, K), A, B) for k, v in out.items()}
-    return [_pack(n.coeffs, K) for n in nums], [_packed_terms(x, K) for _, x in pairs], decode
-
-
 def lincomb(pairs, q: QValue) -> NormalElement:
-    """The sum of c x over the (c, x) pairs, summed on ints from
-    ``_lincomb_codec`` and decoded once per key; any input that codec does
-    not take goes through the scale-and-add loop."""
+    """The sum of c x over the (c, x) pairs, summed on ints and decoded once
+    per key; any input the codec of q does not take goes through the
+    scale-and-add loop.
+
+    Every coefficient of every x must fit ``_codec``, and ``_scalars`` must
+    bring the c to nums over one den.  At symbolic q everything is packed at
+    q = 2^K, K from the l1 bound sum |num|_1 max |f|_1, as in
+    ``_packed_product``.  At rational q there must be two pairs or more
+    (``scale`` is as fast for one, and an x read here keeps its packs): each
+    x is read over its own Dx, the nums are brought to the lcm L of the Dx,
+    and every sum is an integer over den L."""
     pairs = list(pairs)
-    coded = _lincomb_codec(pairs, q) if all(x.q == q for _, x in pairs) else None
-    if coded is None:
+    fits = all(x.q == q for _, x in pairs) and (q.is_symbolic or len(pairs) > 1)
+    sc = _scalars([c for c, _ in pairs], q) if fits else None
+    if sc is None or not all(_codec(x) for _, x in pairs):
         return sum((x.scale(c) for c, x in pairs), NormalElement.zero(q))
-    cs, xs, decode = coded
+    nums, den = sc
+    if q.is_symbolic:
+        norm = max((_codec(x)[1] for _, x in pairs), default=0)
+        K = _width(sum(sum(map(abs, n.coeffs)) for n in nums) * norm)
+        cs, ws = [_pack(n.coeffs, K) for n in nums], [K] * len(pairs)
+    else:
+        ws = [_codec(x)[0] for _, x in pairs]
+        L, K = math.lcm(*ws), None
+        cs, den = [n * (L // w) for n, w in zip(nums, ws)], den * L
     out: Dict[MonoKey, int] = {}
-    for cn, xp in zip(cs, xs):
-        add_terms(out, ((key, cn * v) for key, v in xp.items()))
-    return NormalElement(q, decode(out), _raw=True)
+    for cn, (_, x), w in zip(cs, pairs, ws):
+        add_terms(out, ((key, cn * v) for key, v in _packed_terms(x, w).items()))
+    return NormalElement(q, _decode(out, K, den), _raw=True)
 
 
 def nf_word(w: str, q: QValue) -> NormalElement:
@@ -518,20 +515,12 @@ def bracketed_word(w: str, q: QValue) -> NormalElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradedParts:
-    """Decomposition by the Z-grading d = m - n."""
-
-    parts: Dict[int, NormalElement]
-
-
-def grade(x: NormalElement) -> GradedParts:
+def grade(x: NormalElement) -> Dict[int, NormalElement]:
+    """Decomposition by the Z-grading d = m - n: {d: part}, d ascending."""
     buckets: Dict[int, Dict[MonoKey, RationalFunction]] = {}
     for (m, n), c in x.terms.items():
         buckets.setdefault(m - n, {})[(m, n)] = c
-    return GradedParts(
-        {d: NormalElement(x.q, t, _raw=True) for d, t in sorted(buckets.items())}
-    )
+    return {d: NormalElement(x.q, t, _raw=True) for d, t in sorted(buckets.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +694,10 @@ def _basis_codec(part: NormalElement):
         K = _width(2**kmax * cp[0] * (1 + sum(table(k)[1] for k in range(kmax + 1))))
         p = _pack(_q_q1_poly(1, binom2(kmax), kmax).coeffs, K)
         rem = {key: v * p for key, v in _packed_terms(part, K).items()}
-        decode = lambda sol, s: {k: _over_q_q1(_unpack(c, K), binom2(kmax), kmax) for k, c in sol.items()}
+        decode = lambda sol, s: _decode(sol, K, (binom2(kmax), kmax))
         return rem, lambda k: _packed_terms(comm_power(k, q), K), _exact_quotient, decode
     if cp:
-        decode = lambda sol, s: _decode(cp[0] * s, {k: c * table(k)[0] for k, c in sol.items()})
+        decode = lambda sol, s: _decode({k: c * table(k)[0] for k, c in sol.items()}, None, cp[0] * s)
         vector = lambda k: _packed_terms(comm_power(k, q), table(k)[0])
         return dict(_packed_terms(part, cp[0])), vector, _rescaling_quotient, decode
     return dict(part.terms), lambda k: comm_power(k, q).terms, _field_quotient, lambda sol, s: sol
@@ -775,7 +764,7 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
     q = x.q
     _require_not_01(q, "to_lie_power_basis")
     coords: Dict[Tuple[int, int], RationalFunction] = {}
-    parts = grade(x).parts  # popped: each part and its packs go before its solve
+    parts = grade(x)  # popped: each part and its packs go before its solve
     for d in list(parts):
         rem, vector, quotient, decode = _basis_codec(parts.pop(d))
         coords.update(((d, k), c) for k, c in decode(*_back_substitute(rem, d, vector, quotient)).items())

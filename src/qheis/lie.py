@@ -788,7 +788,7 @@ def zero_basis_coords(x: NormalElement) -> Dict[object, RationalFunction]:
         else:
             raise AssertionError("unexpected residual key %r" % ((m, n),))
         add_terms(coords, terms)
-    return _decode(cx[0], coords) if cx else coords
+    return _decode(coords, None, cx[0]) if cx else coords
 
 
 def membership_zero(x: NormalElement) -> bool:

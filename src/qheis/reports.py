@@ -70,17 +70,17 @@ class Report:
             "summary": self.summary,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
-    def render_text(self, verbose_fail: bool = True) -> str:
+    def render_text(self) -> str:
         lines = [
             "suite: %s  q: %s  bounds: %s"
             % (self.suite, self.q, " ".join("%s=%d" % kv for kv in sorted(self.bounds.items())))
         ]
         for e in self.entries:
             lines.append("%-7s %s" % (e.status, e.tuple))
-            if e.status == FAIL and verbose_fail:
+            if e.status == FAIL:
                 lines.append("        lhs = %s" % e.lhs)
                 lines.append("        rhs = %s" % e.rhs)
                 if e.residual:
