@@ -3,11 +3,11 @@ Q(q), and the q-analog combinatorics built on top of it.
 
 Everything here is immutable and exact.  A coefficient is always a
 ``RationalFunction``, so one scalar type serves the symbolic and the
-specialized modes alike.  At a rational q the coefficients the algebra
-produces are constants n/d, but an element may be given polynomial ones (the
-grad-basis-roundtrip suite draws them in Z[q] at every q).  ``+`` and ``*``
-of two constants take an integer path (cross-cancel before multiplying, one
-``math.gcd`` after adding) and skip ``_normalize``.
+specialized modes alike.  At a rational q the algebra produces constants
+n/d; an element may be given polynomials (sum n_e q^e)/d, which the kernels
+of ``heis`` run once per power of q (grad-basis-roundtrip draws them in
+Z[q]).  ``+`` and ``*`` of two constants take an integer path (cross-cancel
+before multiplying, one ``math.gcd`` after adding) and skip ``_normalize``.
 
 Nearly every denominator met in H(q) is c*q^a*(q-1)^b: the q-integers
 {n}_q = (q^n - 1)/(q - 1) and the q^k prefactors of the commutation

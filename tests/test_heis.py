@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qheis import heis, lie
+from qheis import coeff, heis, lie
 from qheis.coeff import (
     IntPoly,
     QValue,
@@ -535,10 +535,11 @@ def test_lincomb_at_rational_q(data):
     assert lincomb(pairs, q) == reference_lincomb(pairs, q)
     if len(pairs) > 1:
         # one pair is c x by ``scale``; two or more are encoded, and so
-        # decoded, unless a coefficient is a polynomial
+        # decoded, unless a coefficient of an x is a polynomial: polynomial
+        # scalars are decoded once per power of q
         with mock.patch.object(heis, "_decode", wraps=heis._decode) as decode:
             lincomb(pairs, q)
-        assert decode.called != bool(polynomial)
+        assert decode.called != (polynomial == "x")
 
 
 def test_lincomb_named_cases():
@@ -557,6 +558,9 @@ def test_lincomb_named_cases():
     assert lincomb(pairs, SYM) == reference_lincomb(pairs, SYM)
     with pytest.raises(QMismatchError):
         lincomb([(RF_ONE, mono(0, 1, QValue.rational(2)))], SYM)
+    # polynomial scalars at rational q are split, and still meet the x's q
+    with pytest.raises(QMismatchError):
+        lincomb([(POLY, mono(0, 1, QValue.rational(2)))], QValue.rational(3))
 
 
 def test_lincomb_of_one_pair_at_rational_q_packs_nothing():
@@ -1030,6 +1034,88 @@ def test_to_lie_power_basis_named_cases():
     assert _exact_quotient(-8, 4) == (-2, 1)
     with pytest.raises(AssertionError, match="remainder"):
         _exact_quotient(6, 4)
+
+
+# coefficients (sum n_e q^e)/d of degree <= 3, with gaps in the powers, small
+# denominators and numerators near 2^70 and beyond: at rational q each runs on
+# the constant codec once per power of q
+SLICED_DENS = [1, 2, 3, 12, 35]
+sliced_coeffs = st.builds(
+    lambda nums, d: RationalFunction(IntPoly(nums), IntPoly([d])),
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.sampled_from(EDGES)), min_size=1, max_size=4),
+    st.sampled_from(SLICED_DENS),
+)
+# a coefficient whose denominator is no constant keeps its part on the loop
+OFF_SLICES = RationalFunction(IntPoly([1]), IntPoly([1, 1]))
+
+
+@st.composite
+def sliced_elements(draw, q):
+    """An element at q with coefficients of ``sliced_coeffs``, possibly one
+    of them 1/(q + 1)."""
+    keys = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    terms = draw(st.dictionaries(keys, sliced_coeffs, max_size=6))
+    if terms and draw(st.integers(0, 3)) == 0:
+        terms[draw(st.sampled_from(sorted(terms)))] = OFF_SLICES
+    return NormalElement(q, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_polynomial_coefficients_match_the_field_loop(data):
+    q = data.draw(st.sampled_from(BASIS_QS))
+    x = data.draw(sliced_elements(q))
+    # the same coordinates in the same order
+    coords = to_lie_power_basis(x)
+    assert list(coords.coords.items()) == list(reference_to_lie_power_basis(x).coords.items()), x
+    assert from_lie_power_basis(coords) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_polynomial_scalars_at_rational_q_match_the_field_loop(data):
+    q = data.draw(st.sampled_from(RATIONAL_QS))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        x = data.draw(st.one_of(const_elements(q), const_elements(q), sliced_elements(q)))
+        pairs.append((data.draw(st.one_of(sliced_coeffs, constants)), x))
+        if data.draw(st.booleans()):
+            pairs.append(data.draw(st.sampled_from([(-pairs[-1][0], x), (pairs[-1][0], -x)])))  # cancels
+    pairs = data.draw(st.permutations(pairs))
+    if pairs and data.draw(st.integers(0, 3)) == 0:
+        pairs[0] = (OFF_SLICES, pairs[0][1])
+    assert lincomb(pairs, q) == reference_lincomb(pairs, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), sliced_coeffs.filter(bool)))
+def test_join_inverts_slices(terms):
+    slices = heis._slices(terms)
+    assert all(len(c.num.coeffs) < 2 and len(c.den.coeffs) == 1 for t in slices.values() for c in t.values())
+    # the same keys, each coefficient in the canonical form of _normalize
+    canonical = lambda t: {key: (c.num.coeffs, c.den.coeffs) for key, c in t.items()}
+    assert canonical(heis._join(slices)) == canonical(terms)
+    assert heis._slices({**terms, (9, 9): OFF_SLICES}) is None
+
+
+def test_polynomial_roundtrip_at_rational_q_stays_on_ints():
+    # every part of x splits into constant slices, so neither basis change
+    # reaches the generic _normalize; in grading 0 the slice of q^2 alone has
+    # the top coordinate k = 4, which the join must still put first
+    q = QValue.parse("-1/3")
+    x = NormalElement(q, {
+        (3, 1): RationalFunction(IntPoly([1, -2, 0, 5]), IntPoly([12])),
+        (2, 0): RationalFunction(IntPoly([0, 2**70 + 1]), IntPoly([35])),
+        (1, 1): RationalFunction(IntPoly([-3])),
+        (4, 4): RationalFunction(IntPoly([0, 0, 7])),
+        (1, 6): RationalFunction(IntPoly([0, 0, 0, 1]), IntPoly([2])),
+    })
+    with mock.patch.object(coeff, "_normalize", wraps=coeff._normalize) as normalize:
+        coords = to_lie_power_basis(x)
+        back = from_lie_power_basis(coords)
+    assert not normalize.called
+    assert list(coords.coords.items()) == list(reference_to_lie_power_basis(x).coords.items())
+    assert back == x
 
 
 def assert_packs_as_fresh(x):
