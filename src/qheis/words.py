@@ -9,8 +9,9 @@ the bracketing rules used throughout the rest of the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple
+
+from .coeff import add_terms
 
 ALPHABET = ("A", "B")
 
@@ -19,10 +20,6 @@ def check_word(w: str) -> str:
     if any(c not in ("A", "B") for c in w):
         raise ValueError("word may contain only A and B: %r" % w)
     return w
-
-
-def render_word(w: str) -> str:
-    return w if w else "I"
 
 
 def triangle_less(v: str, w: str) -> bool:
@@ -66,37 +63,18 @@ def factorize(w: str) -> Tuple[str, str]:
     raise AssertionError("unreachable: single letters are regular")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    letter: str
-
-    def foliage(self) -> str:
-        return self.letter
-
-    def __str__(self):
-        return self.letter
-
-
-@dataclass(frozen=True)
-class Bracket:
-    left: "LieMonomial"
-    right: "LieMonomial"
-
-    def foliage(self) -> str:
-        return self.left.foliage() + self.right.foliage()
-
-    def __str__(self):
-        return "[%s,%s]" % (self.left, self.right)
-
-
-LieMonomial = Union[Leaf, Bracket]
-
-
-def bracketing(w: str) -> LieMonomial:
-    """The nonassociative regular word: bracket at the canonical split."""
-    if not w or not is_regular(w):
-        raise ValueError("bracketing needs a regular word, got %r" % w)
+def bracket_expansion(w: str) -> Dict[str, int]:
+    """The Lie monomial <w> of a regular word w expanded into words:
+    <w> = <g><h> - <h><g> at the canonical split (g, h) = factorize(w), the
+    split `heis.bracketed_word` folds on the PBW basis."""
     if len(w) == 1:
-        return Leaf(w)
+        return {check_word(w): 1}
     g, h = factorize(w)
-    return Bracket(bracketing(g), bracketing(h))
+    x, y = bracket_expansion(g), bracket_expansion(h)
+    xy = [(u, v, a * b) for u, a in x.items() for v, b in y.items()]
+    return add_terms({}, [(u + v, c) for u, v, c in xy] + [(v + u, -c) for u, v, c in xy])
+
+
+def theta(f: dict) -> dict:
+    """The anti-automorphism w -> (-1)^|w| reverse(w), extended linearly."""
+    return {w[::-1]: -c if len(w) % 2 else c for w, c in f.items()}

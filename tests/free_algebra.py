@@ -1,13 +1,23 @@
-"""The free algebra on A, B: Q(q)-linear combinations of words under the
-concatenation product, commutators, Lie-monomial expansion, and the
-sign-reversal anti-automorphism used as a Lie-polynomial test."""
+"""The free algebra on A, B, kept in the tests as an independent reference.
+
+`FreeElement` holds Q(q)-linear combinations of words under the
+concatenation product.  With the bracket trees of regular words it is what
+the tests compare the program's `<w>`, its word expansions, the rewriting
+reference and `qheis eval` against; `theta` and `passes_lie_necessary` are
+the classical necessary condition theta(f) = -f for a Lie polynomial.
+"""
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Union
 
-from .coeff import RF_ONE, RationalFunction, add_terms
-from .words import Leaf, LieMonomial, check_word, render_word
+from qheis.coeff import RF_ONE, RationalFunction, add_terms
+from qheis.words import check_word, factorize, is_regular
+
+
+def render_word(w: str) -> str:
+    return w if w else "I"
 
 
 class FreeElement:
@@ -48,11 +58,6 @@ class FreeElement:
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + (-other)
 
-    def scale(self, c: RationalFunction) -> "FreeElement":
-        if c.is_zero():
-            return FreeElement.zero()
-        return FreeElement({w: x * c for w, x in self.terms.items()}, _raw=True)
-
     # -- algebra -------------------------------------------------------------
 
     def __mul__(self, other: "FreeElement") -> "FreeElement":
@@ -74,9 +79,6 @@ class FreeElement:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FreeElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def render(self) -> str:
         if not self.terms:
@@ -100,6 +102,45 @@ class FreeElement:
 def commutator(x: FreeElement, y: FreeElement) -> FreeElement:
     """[x, y] = xy - yx."""
     return x * y - y * x
+
+
+# -- bracket trees -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Leaf:
+    letter: str
+
+    def foliage(self) -> str:
+        return self.letter
+
+    def __str__(self):
+        return self.letter
+
+
+@dataclass(frozen=True)
+class Bracket:
+    left: "LieMonomial"
+    right: "LieMonomial"
+
+    def foliage(self) -> str:
+        return self.left.foliage() + self.right.foliage()
+
+    def __str__(self):
+        return "[%s,%s]" % (self.left, self.right)
+
+
+LieMonomial = Union[Leaf, Bracket]
+
+
+def bracketing(w: str) -> LieMonomial:
+    """The nonassociative regular word: bracket at the canonical split."""
+    if not w or not is_regular(w):
+        raise ValueError("bracketing needs a regular word, got %r" % w)
+    if len(w) == 1:
+        return Leaf(w)
+    g, h = factorize(w)
+    return Bracket(bracketing(g), bracketing(h))
 
 
 def eval_monomial(m: LieMonomial) -> FreeElement:

@@ -17,9 +17,9 @@ from qheis.coeff import (
     _gauss_binomial_poly,
     add_terms,
 )
-from qheis.freealg import FreeElement
 from qheis.reports import Entry, Report
 from qheis.words import check_word
+from free_algebra import FreeElement
 
 
 def entry_from_dict(d: dict) -> Entry:

@@ -11,8 +11,8 @@ from functools import lru_cache
 from typing import Dict
 
 from qheis.coeff import RF_ONE, QValue, RationalFunction, add_terms
-from qheis.freealg import FreeElement
 from qheis.heis import MonoKey, NormalElement
+from free_algebra import FreeElement
 
 LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"

@@ -17,7 +17,6 @@ from operator import eq
 import pytest
 
 from qheis.coeff import IntPoly, QValue, RF_ONE, RF_Q, RationalFunction
-from qheis.freealg import FreeElement, eval_monomial, passes_lie_necessary
 from qheis.heis import (
     NormalElement,
     adad_sides,
@@ -60,7 +59,8 @@ from qheis.lie import (
     table1_sides,
     table2_sides,
 )
-from qheis.words import ALPHABET, bracketing, enumerate_regular
+from qheis.words import ALPHABET, enumerate_regular
+from free_algebra import FreeElement, bracketing, eval_monomial, passes_lie_necessary
 from rewriting import LEFTMOST, RIGHTMOST, _word_normal_form
 
 SYM = QValue()

@@ -28,10 +28,9 @@ from qheis.expr import (
     parse,
     pretty,
 )
-from qheis.freealg import FreeElement, commutator as f_commutator, eval_monomial
 from qheis.heis import NormalElement, comm_power, nf_word, to_lie_power_basis
 from qheis.lie import membership_generic
-from qheis.words import bracketing
+from free_algebra import FreeElement, bracketing, commutator as f_commutator, eval_monomial
 from rewriting import normal_form
 
 SYM = QValue()

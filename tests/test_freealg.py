@@ -3,14 +3,16 @@
 import random
 
 from qheis.coeff import IntPoly, RF_ONE, RF_Q, RationalFunction
-from qheis.freealg import (
+from qheis.words import enumerate_regular
+from free_algebra import (
     FreeElement,
+    Leaf,
+    bracketing,
     commutator,
     eval_monomial,
     passes_lie_necessary,
     theta,
 )
-from qheis.words import Leaf, bracketing, enumerate_regular
 
 W = FreeElement.word
 FREE_A = W("A")

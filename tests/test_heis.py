@@ -22,7 +22,6 @@ from qheis.coeff import (
     gauss_polynomial,
     q_int,
 )
-from qheis.freealg import FreeElement, eval_monomial
 from qheis.heis import (
     DegenerateQError,
     LiePowerCoords,
@@ -55,7 +54,8 @@ from qheis.heis import (
     shift_poly_sides,
     to_lie_power_basis,
 )
-from qheis.words import bracketing, enumerate_regular
+from qheis.words import enumerate_regular
+from free_algebra import FreeElement, bracketing, eval_monomial
 from helpers import free_from_terms
 from rewriting import LEFTMOST, RIGHTMOST, _word_normal_form, normal_form
 

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qheis.words import (
-    Bracket,
-    Leaf,
-    bracketing,
+    bracket_expansion,
     enumerate_regular,
     factorize,
     is_regular,
     triangle_less,
 )
+from free_algebra import Bracket, Leaf, bracketing, eval_monomial
 
 words_st = st.text(alphabet="AB", min_size=1, max_size=8)
 
@@ -137,6 +136,21 @@ def test_bracketing_recursion_matches_block_shapes():
 def test_foliage_reconstructs_the_word():
     for w in enumerate_regular(12):
         assert bracketing(w).foliage() == w
+
+
+def test_bracket_expansion_examples():
+    assert bracket_expansion("A") == {"A": 1}
+    assert bracket_expansion("BA") == {"BA": 1, "AB": -1}
+    assert bracket_expansion("BBA") == {"BBA": 1, "BAB": -2, "ABB": 1}
+    for w in ("AB", "", "ABA"):
+        with pytest.raises(ValueError):
+            bracket_expansion(w)
+
+
+def test_bracket_expansion_matches_the_bracket_tree_reference():
+    # the word dicts against the reference free algebra's bracket trees
+    for w in enumerate_regular(12):
+        assert bracket_expansion(w) == eval_monomial(bracketing(w)).terms, w
 
 
 @settings(max_examples=300, deadline=None)
