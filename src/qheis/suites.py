@@ -12,6 +12,10 @@ that marks every key skipped-degenerate instead of failing.
 
 A printed closed form and its derived correction are two items whose
 ``derived`` argument differs.
+
+Every suite but one works in H(q).  `theta-lie` works in the free algebra,
+on the word dicts of `words`: each <w> must be a Lie polynomial, and a few
+controls and the defining element AB - qBA - I must not be.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from .lie import (
     table2_sides,
 )
 from .reports import FAIL, PASS, SKIPPED, Entry, Report
-from .words import ALPHABET, bracket_expansion, enumerate_regular, theta
+from .words import ALPHABET, bracket_expansion, enumerate_regular, is_lie
 
 Item = Tuple[Tuple, Optional[Callable[..., Any]], Tuple]
 Items = Iterator[Item]
@@ -203,18 +207,17 @@ def _regular_count(key: Tuple, L: int, found: int) -> Entry:
     return _boolean(key, found == want, "%d regular words" % found, text)
 
 
-def _passes_theta(f: dict) -> bool:
-    """The necessary condition theta(f) = -f for f to be a Lie polynomial."""
-    return theta(f) == {w: -c for w, c in f.items()}
-
-
 def _lie_necessary(key: Tuple, w: str) -> Entry:
-    return _boolean(key, _passes_theta(bracket_expansion(w)), "<%s>" % w)
+    return _boolean(key, is_lie(bracket_expansion(w)), "<%s>" % w)
+
+
+def _not_lie(key: Tuple, f: dict, text: str) -> Entry:
+    return _boolean(key, not is_lie(f), text, "not a Lie polynomial")
 
 
 def _defining_element_not_lie(key: Tuple, q: QValue) -> Entry:
     x = add_terms({}, (("AB", RF_ONE), ("BA", -q.scalar()), ("", -RF_ONE)))  # no BA at q = 0
-    return _boolean(key, not _passes_theta(x), "AB - qBA - I", "theta(f) != -f")
+    return _not_lie(key, x, "AB - qBA - I")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +416,17 @@ def _zero_nilpotent(q: QValue, bounds) -> Items:
 
 
 # ---------------------------------------------------------------------------
-# free-algebra suite
+# Lie polynomials in the free algebra
 # ---------------------------------------------------------------------------
+
+# controls the criterion must reject; ABA and AB - BA + ABA pass theta(f) = -f
+_NOT_LIE = {
+    "AB": {"AB": 1},
+    "AAB": {"AAB": 1},
+    "ABA": {"ABA": 1},
+    "AB + BA": {"AB": 1, "BA": 1},
+    "AB - BA + ABA": {"AB": 1, "BA": -1, "ABA": 1},
+}
 
 
 def _theta_lie(q: QValue, bounds) -> Items:
@@ -424,6 +436,8 @@ def _theta_lie(q: QValue, bounds) -> Items:
         yield ("regular-count", L), _regular_count, (L, by_len[L])
     for w in words:
         yield ("lie-necessary", w), _lie_necessary, (w,)
+    for text, f in _NOT_LIE.items():
+        yield ("not-lie", text), _not_lie, (f, text)
     yield ("defining-element-not-lie",), _defining_element_not_lie, (q,)
 
 

@@ -4,6 +4,12 @@ Words are plain Python strings ("" is the identity I).  The ordering is
 A < B, and a word is *regular* when it beats every proper rotation in the
 concatenation order; this is the cyclically-maximal convention, matching
 the bracketing rules used throughout the rest of the package.
+
+An element of the free algebra on A, B is a plain ``{word: coefficient}``
+dict with no zero values, its coefficients ints or RationalFunctions.
+`bracket_expansion` expands the Lie monomial <w> of a regular word into
+such a dict, and `is_lie` decides by the Dynkin-Specht-Wever criterion
+whether a dict is a Lie polynomial.
 """
 
 from __future__ import annotations
@@ -75,6 +81,27 @@ def bracket_expansion(w: str) -> Dict[str, int]:
     return add_terms({}, [(u + v, c) for u, v, c in xy] + [(v + u, -c) for u, v, c in xy])
 
 
-def theta(f: dict) -> dict:
-    """The anti-automorphism w -> (-1)^|w| reverse(w), extended linearly."""
-    return {w[::-1]: -c if len(w) % 2 else c for w, c in f.items()}
+def left_normed(f: dict) -> dict:
+    """r(f), r the linear map a1 a2 ... an -> [...[a1, a2], ..., an], on a
+    nonzero homogeneous f of degree >= 1: with f = sum over letters a of
+    f_a a, r(f) = sum of [r(f_a), a], and r(f) = f in degree 1."""
+    if len(next(iter(f))) == 1:
+        return dict(f)
+    by_last: Dict[str, dict] = {}
+    for w, c in f.items():
+        by_last.setdefault(w[-1], {})[w[:-1]] = c
+    out: dict = {}
+    for a, f_a in by_last.items():
+        r = left_normed(f_a).items()
+        add_terms(out, [(u + a, c) for u, c in r] + [(a + u, -c) for u, c in r])
+    return out
+
+
+def is_lie(f: dict) -> bool:
+    """The Dynkin-Specht-Wever criterion (Reutenauer, Free Lie Algebras,
+    1993): f is a Lie polynomial exactly when its empty-word part is 0 and
+    each homogeneous part f_n has r(f_n) = n f_n."""
+    parts: Dict[int, dict] = {}
+    for w, c in f.items():
+        parts.setdefault(len(w), {})[w] = c
+    return 0 not in parts and all(left_normed(p) == {w: n * c for w, c in p.items()} for n, p in parts.items())

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qheis.coeff import RF_ONE, RF_Q, add_terms
 from qheis.words import (
     bracket_expansion,
     enumerate_regular,
     factorize,
+    is_lie,
     is_regular,
+    left_normed,
     triangle_less,
 )
-from free_algebra import Bracket, Leaf, bracketing, eval_monomial
+from free_algebra import Bracket, FreeElement, Leaf, bracketing, eval_monomial, passes_lie_necessary
 
 words_st = st.text(alphabet="AB", min_size=1, max_size=8)
 
@@ -151,6 +154,47 @@ def test_bracket_expansion_matches_the_bracket_tree_reference():
     # the word dicts against the reference free algebra's bracket trees
     for w in enumerate_regular(12):
         assert bracket_expansion(w) == eval_monomial(bracketing(w)).terms, w
+
+
+def test_left_normed_examples():
+    assert left_normed({"A": 3}) == {"A": 3}
+    assert left_normed({"BA": 1}) == {"BA": 1, "AB": -1}
+    # [[A,B],A] = 2 ABA - AAB - BAA
+    assert left_normed({"ABA": 1}) == {"ABA": 2, "AAB": -1, "BAA": -1}
+
+
+def test_is_lie_examples():
+    assert is_lie({}) and is_lie({"A": 2, "B": -1}) and is_lie({"AB": 1, "BA": -1})
+    for f in ({"AB": 1}, {"AAB": 1}, {"AB": 1, "BA": 1}, {"AB": 1, "BA": -1, "": -1}, {"": 1}):
+        assert not is_lie(f), f
+    # theta(ABA) = -ABA: the necessary condition accepts ABA, the criterion does not
+    assert passes_lie_necessary(FreeElement.word("ABA"))
+    assert not is_lie({"ABA": 1}) and not is_lie({"AB": 1, "BA": -1, "ABA": 1})
+    # coefficients in Q(q): the defining element is not Lie, at q = 0 neither
+    assert not is_lie({"AB": RF_ONE, "BA": -RF_Q, "": -RF_ONE})
+    assert not is_lie({"AB": RF_ONE, "": -RF_ONE})
+    assert is_lie({"AB": RF_Q, "BA": -RF_Q})
+    assert not is_lie({"AB": RF_Q, "BA": -RF_ONE})
+
+
+REGULAR = enumerate_regular(8)
+
+
+@st.composite
+def lie_combinations(draw):
+    """A random integer combination of the <w> with |w| = n, as a word dict."""
+    n = draw(st.integers(1, 8))
+    words = [w for w in REGULAR if len(w) == n]
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(words), max_size=len(words)))
+    return add_terms({}, ((u, c * a) for w, c in zip(words, coeffs) for u, a in bracket_expansion(w).items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lie_combinations(), st.text(alphabet="AB", min_size=2, max_size=8), st.integers(-5, 5).filter(bool))
+def test_criterion_accepts_lie_combinations_and_rejects_an_added_word(f, u, c):
+    # Lie polynomials form a subspace, and no single word of length >= 2 is in it
+    assert is_lie(f)
+    assert not is_lie(add_terms(dict(f), ((u, c),)))
 
 
 @settings(max_examples=300, deadline=None)
