@@ -13,9 +13,9 @@ that marks every key skipped-degenerate instead of failing.
 A printed closed form and its derived correction are two items whose
 ``derived`` argument differs.
 
-Every suite but one works in H(q).  `theta-lie` works in the free algebra,
-on the word dicts of `words`: each <w> must be a Lie polynomial, and a few
-controls and the defining element AB - qBA - I must not be.
+`theta-lie` works in the free algebra on A, B, not in H(q), on the word
+dicts of `words`: each <w> must be a Lie polynomial, and a few controls and
+the defining element AB - qBA - I must not be.
 """
 
 from __future__ import annotations

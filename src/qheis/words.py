@@ -82,19 +82,21 @@ def bracket_expansion(w: str) -> Dict[str, int]:
 
 
 def left_normed(f: dict) -> dict:
-    """r(f), r the linear map a1 a2 ... an -> [...[a1, a2], ..., an], on a
-    nonzero homogeneous f of degree >= 1: with f = sum over letters a of
-    f_a a, r(f) = sum of [r(f_a), a], and r(f) = f in degree 1."""
-    if len(next(iter(f))) == 1:
-        return dict(f)
-    by_last: Dict[str, dict] = {}
+    """r(f) for a nonzero homogeneous f of degree >= 1, r the linear map
+    a1 a2 ... an -> [...[a1, a2], ..., an].  The brackets grow one letter at
+    a time from the left, r(u a) = r(u) a - a r(u), and the words that have
+    the same letters still to come share one partial sum."""
+    todo: Dict[str, dict] = {}  # letters to come -> sum of c r(letters read)
     for w, c in f.items():
-        by_last.setdefault(w[-1], {})[w[:-1]] = c
-    out: dict = {}
-    for a, f_a in by_last.items():
-        r = left_normed(f_a).items()
-        add_terms(out, [(u + a, c) for u, c in r] + [(a + u, -c) for u, c in r])
-    return out
+        todo.setdefault(w[1:], {})[w[0]] = c
+    for _ in range(len(next(iter(f))) - 1):
+        grown: Dict[str, dict] = {}
+        for s, r in todo.items():
+            a = s[0]
+            pairs = [(u + a, c) for u, c in r.items()] + [(a + u, -c) for u, c in r.items()]
+            add_terms(grown.setdefault(s[1:], {}), pairs)
+        todo = grown
+    return todo[""]
 
 
 def is_lie(f: dict) -> bool:
