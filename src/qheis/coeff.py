@@ -8,6 +8,8 @@ n/d; an element may be given polynomials (sum n_e q^e)/d, which the kernels
 of ``heis`` run once per power of q (grad-basis-roundtrip draws them in
 Z[q]).  ``+`` and ``*`` of two constants take an integer path (cross-cancel
 before multiplying, one ``math.gcd`` after adding) and skip ``_normalize``.
+``QValue``, the parameter q, is a ``Value``: with ``Record``, the plain
+slotted base of every record class of qheis.
 
 Nearly every denominator met in H(q) is c*q^a*(q-1)^b: the q-integers
 {n}_q = (q^n - 1)/(q - 1) and the q^k prefactors of the commutation
@@ -23,7 +25,6 @@ scalars of the closed forms, sums of c q^e over (q - 1)^b, skip even that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -535,8 +536,39 @@ def add_terms(out: dict, pairs) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class QValue:
+class Record:
+    """A plain slotted record: its fields are its class's ``__slots__``, set by
+    its ``__init__``; ``_key`` is their tuple.  Records of one class with equal
+    keys are equal, and a record reads as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    @property
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._key)
+        return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % kv for kv in pairs))
+
+
+class Value(Record):
+    """An immutable record, hashed by ``_key``, which ``__init__`` stores next
+    to the fields.  No guard stops a later assignment: it would cost time."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self):  # a value without fields
+        self._key = ()
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+class QValue(Value):
     """The deformation parameter: either symbolic or an exact rational.
 
     ``value is None`` means symbolic.  Rational 0, 1 and -1 are flagged
@@ -544,10 +576,11 @@ class QValue:
     hypothesis, -1 as a root of unity).
     """
 
-    value: Optional[Fraction] = None
+    __slots__ = ("value", "_hash")
 
-    def __post_init__(self):  # every cache lookup hashes q: a Fraction's hash is slow
-        object.__setattr__(self, "_hash", hash((self.value,)))
+    def __init__(self, value: Optional[Fraction] = None):
+        (self.value,) = self._key = (value,)
+        self._hash = hash(self._key)  # every cache lookup hashes q: a Fraction's hash is slow
 
     def __hash__(self):
         return self._hash

@@ -15,15 +15,14 @@ Evaluation happens in H(q), in PBW coordinates: every subexpression is
 a NormalElement, so nothing is expanded in the free algebra.  Negative
 powers are only defined for a base that is a nonzero multiple of I in
 H(q) (so (A*B - q*B*A)^-1 is I).  <W> demands a regular word and
-evaluates to its canonical bracketing in H(q).
+evaluates to its canonical bracketing in H(q).  AST nodes are ``Value``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from .coeff import QValue, RationalFunction
+from .coeff import QValue, RationalFunction, Record, Value
 from .heis import (
     LiePowerCoords,
     NormalElement,
@@ -46,64 +45,70 @@ class EvalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Letter:
-    name: str  # "A" or "B"
+class Letter(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):  # "A" or "B"
+        (self.name,) = self._key = (name,)
 
 
-@dataclass(frozen=True)
-class Ident:
-    pass
+class Ident(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QSym:
-    pass
+class QSym(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        (self.value,) = self._key = (value,)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expression"
+class Neg(Value):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expression):
+        (self.arg,) = self._key = (arg,)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expression"
-    right: "Expression"
+class _Binary(Value):
+    __slots__ = ()  # each subclass declares the fields, as repr reads its own __slots__
+
+    def __init__(self, left: Expression, right: Expression):
+        self.left, self.right = self._key = (left, right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expression"
-    right: "Expression"
+class Add(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expression"
-    right: "Expression"
+class Sub(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expression"
-    exponent: int
+class Mul(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Commutator:
-    left: "Expression"
-    right: "Expression"
+class Pow(Value):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expression, exponent: int):
+        self.base, self.exponent = self._key = (base, exponent)
 
 
-@dataclass(frozen=True)
-class BracketWord:
-    word: str
+class Commutator(_Binary):
+    __slots__ = ("left", "right")
+
+
+class BracketWord(Value):
+    __slots__ = ("word",)
+
+    def __init__(self, word: str):
+        (self.word,) = self._key = (word,)
 
 
 Expression = Union[
@@ -377,15 +382,15 @@ def _eval(e: Expression, q: QValue) -> NormalElement:
     raise TypeError("unknown AST node %r" % (e,))
 
 
-@dataclass
-class EvalResult:
-    expression: Expression
-    q: QValue
-    normal: NormalElement
-    graded: Dict[int, NormalElement]
-    lie_coords: Optional[LiePowerCoords]
-    membership: Optional[bool]
-    membership_mode: str
+class EvalResult(Record):
+    __slots__ = ("expression", "q", "normal", "graded", "lie_coords", "membership", "membership_mode")
+
+    def __init__(self, expression: Expression, q: QValue, normal: NormalElement,
+                 graded: Dict[int, NormalElement], lie_coords: Optional[LiePowerCoords],
+                 membership: Optional[bool], membership_mode: str):
+        self.expression, self.q, self.normal = expression, q, normal
+        self.graded, self.lie_coords = graded, lie_coords
+        self.membership, self.membership_mode = membership, membership_mode
 
 
 def eval_expr(e: Expression, q: QValue) -> EvalResult:

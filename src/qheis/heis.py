@@ -46,7 +46,6 @@ import struct
 import sys
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
@@ -58,6 +57,7 @@ from .coeff import (
     IntPoly,
     QValue,
     RationalFunction,
+    Record,
     _const,
     _monic_q_q1,
     _over_q_q1,
@@ -674,16 +674,17 @@ def anbn_via_gauss(n: int, q: QValue) -> NormalElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LiePowerCoords:
+class LiePowerCoords(Record):
     """Coordinates on the basis {[A,B]^k, B^d [A,B]^k, [A,B]^k A^-d}.
 
     Key (d, k): d is the grading degree, k the [A,B]-power.  d > 0 keys
     mean B^d [A,B]^k, d < 0 keys mean [A,B]^k A^(-d).
     """
 
-    q: QValue
-    coords: Dict[Tuple[int, int], RationalFunction]
+    __slots__ = ("q", "coords")
+
+    def __init__(self, q: QValue, coords: Dict[Tuple[int, int], RationalFunction]):
+        self.q, self.coords = q, coords
 
     def coeff(self, d: int, k: int) -> RationalFunction:
         return self.coords.get((d, k), RF_ZERO)

@@ -3,7 +3,8 @@
 Covers both regimes: generic q (nonzero, not a root of unity) with the
 normalized generator families Abar(k,l) = [A,B]^(k+1) A^l,
 Bbar(k,l) = B^l [A,B]^(k+1), Gbar(k) = [A,B]^(k+2), and q = 0 with the
-bracketed-word basis {A, B, <B^m A^n>}.
+bracketed-word basis {A, B, <B^m A^n>}.  The basis vectors are ``Value``s,
+used as dict keys and printed through their class's ``form``.
 
 Each closed-form identity from the source tables comes in two flavours:
 the *printed* form and, where the printed form is provably wrong, a
@@ -15,7 +16,6 @@ the *printed* form and, where the printed form is provably wrong, a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple, Union
 
@@ -23,6 +23,7 @@ from .coeff import (
     RF_ONE,
     QValue,
     RationalFunction,
+    Value,
     add_terms,
     binom2,
     gauss_terms,
@@ -48,84 +49,87 @@ from .heis import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrBA:
+class _Basis(Value):
+    """A basis vector, printed as its fields put into ``form``."""
+
+    __slots__ = ()
+
+    def render(self) -> str:
+        return self.form % self._key
+
+
+class BrBA(_Basis):
     """The Lie monomial <BA> = BA - AB = -[A,B]."""
 
-    def render(self) -> str:
-        return "<BA>"
+    __slots__ = ()
+    form = "<BA>"
 
 
-@dataclass(frozen=True)
-class GenA:
-    def render(self) -> str:
-        return "A"
+class GenA(_Basis):
+    __slots__ = ()
+    form = "A"
 
 
-@dataclass(frozen=True)
-class GenB:
-    def render(self) -> str:
-        return "B"
+class GenB(_Basis):
+    __slots__ = ()
+    form = "B"
 
 
-@dataclass(frozen=True)
-class AlphaBar:
+class AlphaBar(_Basis):
     """[A,B]^(k+1) A^l with k >= 0, l >= 1."""
 
-    k: int
-    l: int
+    __slots__ = ("k", "l")
+    form = "Abar(%d,%d)"
 
-    def render(self) -> str:
-        return "Abar(%d,%d)" % (self.k, self.l)
+    def __init__(self, k: int, l: int):
+        self.k, self.l = self._key = (k, l)
 
 
-@dataclass(frozen=True)
-class BetaBar:
+class BetaBar(_Basis):
     """B^l [A,B]^(k+1) with k >= 0, l >= 1."""
 
-    k: int
-    l: int
+    __slots__ = ("k", "l")
+    form = "Bbar(%d,%d)"
 
-    def render(self) -> str:
-        return "Bbar(%d,%d)" % (self.k, self.l)
+    def __init__(self, k: int, l: int):
+        self.k, self.l = self._key = (k, l)
 
 
-@dataclass(frozen=True)
-class GammaBar:
+class GammaBar(_Basis):
     """[A,B]^(k+2) with k >= 0."""
 
-    k: int
+    __slots__ = ("k",)
+    form = "Gbar(%d)"
 
-    def render(self) -> str:
-        return "Gbar(%d)" % self.k
+    def __init__(self, k: int):
+        (self.k,) = self._key = (k,)
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(_Basis):
     """The identity I; complement of L(q) in H(q)."""
 
-    def render(self) -> str:
-        return "I"
+    __slots__ = ()
+    form = "I"
 
 
-@dataclass(frozen=True)
-class PowerA:
+class PowerA(_Basis):
     """A^k with k >= 2; complement of L(q)."""
 
-    k: int
+    __slots__ = ("k",)
+    form = "A^%d"
 
-    def render(self) -> str:
-        return "A^%d" % self.k
+    def __init__(self, k: int):
+        (self.k,) = self._key = (k,)
 
 
-@dataclass(frozen=True)
-class PowerB:
+class PowerB(_Basis):
     """B^l with l >= 2; complement of L(q)."""
 
-    l: int
+    __slots__ = ("l",)
+    form = "B^%d"
 
-    def render(self) -> str:
-        return "B^%d" % self.l
+    def __init__(self, l: int):
+        (self.l,) = self._key = (l,)
 
 
 GenBasisVector = Union[BrBA, GenA, GenB, AlphaBar, BetaBar, GammaBar]
@@ -338,8 +342,7 @@ def beta_gamma_sum_sides(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CiCoefficient:
+class CiCoefficient(Value):
     """The scalar c_i(k,l,m,n) of the Abar/Bbar cross-commutator.
 
     c_i = (-1)^(n-i) (n i)_q (q^e1 - q^e2) with
@@ -350,11 +353,10 @@ class CiCoefficient:
     (n i)_q in one step.
     """
 
-    k: int
-    l: int
-    m: int
-    n: int
-    i: int
+    __slots__ = ("k", "l", "m", "n", "i")
+
+    def __init__(self, k: int, l: int, m: int, n: int, i: int):
+        self.k, self.l, self.m, self.n, self.i = self._key = (k, l, m, n, i)
 
     @property
     def e1(self) -> int:
@@ -704,15 +706,14 @@ def independence_counts(q_mode: str, degree_bound: int, q: QValue = None):
 Q_ZERO = QValue.rational(0)
 
 
-@dataclass(frozen=True)
-class BrMN:
+class BrMN(_Basis):
     """The bracketed word <B^m A^n> (m, n >= 1) at q = 0."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+    form = "<B^%d A^%d>"
 
-    def render(self) -> str:
-        return "<B^%d A^%d>" % (self.m, self.n)
+    def __init__(self, m: int, n: int):
+        self.m, self.n = self._key = (m, n)
 
 
 def _require_zero(q: QValue, what: str) -> None:

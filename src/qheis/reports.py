@@ -1,10 +1,11 @@
-"""Report containers shared by the verification suites and the CLI."""
+"""Report containers, mutable ``Record``s shared by the suites and the CLI."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from .coeff import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -16,13 +17,12 @@ def tuple_sort_key(t: Tuple) -> Tuple:
     return tuple((0, x, "") if isinstance(x, int) else (1, 0, str(x)) for x in t)
 
 
-@dataclass
-class Entry:
-    tuple: Tuple
-    status: str
-    lhs: str = ""
-    rhs: str = ""
-    residual: str = ""
+class Entry(Record):
+    __slots__ = ("tuple", "status", "lhs", "rhs", "residual")
+
+    def __init__(self, tuple: Tuple, status: str, lhs: str = "", rhs: str = "", residual: str = ""):
+        self.tuple, self.status = tuple, status
+        self.lhs, self.rhs, self.residual = lhs, rhs, residual
 
     def to_dict(self) -> dict:
         return {
@@ -34,12 +34,12 @@ class Entry:
         }
 
 
-@dataclass
-class Report:
-    suite: str
-    q: str
-    bounds: Dict[str, int]
-    entries: List[Entry] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("suite", "q", "bounds", "entries")
+
+    def __init__(self, suite: str, q: str, bounds: Dict[str, int], entries: Optional[List[Entry]] = None):
+        self.suite, self.q, self.bounds = suite, q, bounds
+        self.entries = [] if entries is None else entries
 
     def sort(self) -> "Report":
         self.entries.sort(key=lambda e: tuple_sort_key(e.tuple))

@@ -2,7 +2,8 @@
 
 Each suite sweeps one cluster of identities over bounded index ranges and
 returns a Report with one entry per tuple checked.  A suite is declared as
-data: a generator ``(q, bounds) -> items`` plus a `SuiteSpec`.  Each item is
+data: a generator ``(q, bounds) -> items`` plus a `SuiteSpec` record, and a
+`SuiteConfig` record checks the bounds of a run against it.  Each item is
 a ``(key, fn, args)`` triple; ``fn`` is a module-level function and
 ``fn(key, *args)`` returns the Entry for ``key`` (the table1 check returns
 a list: the printed cell, and its derived twin when the printed one
@@ -23,7 +24,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -32,6 +32,7 @@ from .coeff import (
     QValue,
     RF_ONE,
     RationalFunction,
+    Record,
     add_terms,
     q_binomial,
     q_factorial,
@@ -446,42 +447,41 @@ def _theta_lie(q: QValue, bounds) -> Items:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteConfig:
-    suite: str
-    q: QValue
-    bounds: Dict[str, int] = field(default_factory=dict)
+class SuiteConfig(Record):
+    __slots__ = ("suite", "q", "bounds")
 
-    def __post_init__(self):
-        if self.suite not in SUITES:
+    def __init__(self, suite: str, q: QValue, bounds: Optional[Dict[str, int]] = None):
+        if suite not in SUITES:
             raise ValueError(
-                "unknown suite %r (choose from %s)" % (self.suite, ", ".join(sorted(SUITES)))
+                "unknown suite %r (choose from %s)" % (suite, ", ".join(sorted(SUITES)))
             )
-        spec = SUITES[self.suite]
+        spec = SUITES[suite]
         merged = dict(spec.default_bounds)
-        for k, v in self.bounds.items():
+        for k, v in (bounds or {}).items():
             if k not in merged:
                 raise ValueError(
                     "suite %s has no bound %r (valid: %s)"
-                    % (self.suite, k, ", ".join(sorted(merged)))
+                    % (suite, k, ", ".join(sorted(merged)))
                 )
             low = spec.min_bounds.get(k, 0)
             if v < low:
                 raise ValueError("bound %s must be >= %d" % (k, low))
             merged[k] = v
-        self.bounds = merged
+        self.suite, self.q, self.bounds = suite, q, merged
 
 
 _degenerate = attrgetter("is_degenerate")
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    name: str
-    items: Callable[[QValue, Dict[str, int]], Items]
-    default_bounds: Dict[str, int]
-    skip: Callable[[QValue], bool] = lambda q: False  # true: every key skipped-degenerate
-    min_bounds: Dict[str, int] = field(default_factory=dict)  # smallest allowed value, if not 0
+class SuiteSpec(Record):
+    __slots__ = ("name", "items", "default_bounds", "skip", "min_bounds")
+
+    def __init__(self, name: str, items: Callable[[QValue, Dict[str, int]], Items],
+                 default_bounds: Dict[str, int], skip: Callable[[QValue], bool] = lambda q: False,
+                 min_bounds: Optional[Dict[str, int]] = None):
+        self.name, self.items, self.default_bounds = name, items, default_bounds
+        self.skip = skip  # true: every key skipped-degenerate
+        self.min_bounds = {} if min_bounds is None else min_bounds  # smallest allowed value, if not 0
 
 
 SUITES: Dict[str, SuiteSpec] = {

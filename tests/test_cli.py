@@ -2,7 +2,9 @@
 
 import decimal
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,6 +39,20 @@ def test_readme_suite_table_names_every_suite_once():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     names = re.findall(r"^\| `([a-z0-9-]+)` \|", readme, flags=re.M)
     assert sorted(names) == sorted(SUITES)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    """Every CLI call is a fresh process: importing ``dataclasses`` (which
+    imports ``inspect``) and building its generated methods cost about 20 ms
+    of each call's start-up, so the CLI's modules do without them.  ``-S``
+    keeps site hooks of the environment out of the check."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, qheis.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_suite_rejected_at_config_time():
