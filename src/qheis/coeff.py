@@ -403,9 +403,6 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return bool(self.num.coeffs)
 
-    def is_one(self) -> bool:
-        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
-
     # -- field operations --------------------------------------------------
 
     def __add__(self, other) -> "RationalFunction":
@@ -441,9 +438,6 @@ class RationalFunction:
     def __sub__(self, other) -> "RationalFunction":
         return self + (-RationalFunction.coerce(other))
 
-    def __rsub__(self, other) -> "RationalFunction":
-        return RationalFunction.coerce(other) + (-self)
-
     def __mul__(self, other) -> "RationalFunction":
         other = RationalFunction.coerce(other)
         a, b = self.num.coeffs, other.num.coeffs
@@ -470,9 +464,6 @@ class RationalFunction:
 
     def __truediv__(self, other) -> "RationalFunction":
         return self * RationalFunction.coerce(other).inv()
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return RationalFunction.coerce(other) * self.inv()
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:

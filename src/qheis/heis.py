@@ -686,9 +686,6 @@ class LiePowerCoords(Record):
     def __init__(self, q: QValue, coords: Dict[Tuple[int, int], RationalFunction]):
         self.q, self.coords = q, coords
 
-    def coeff(self, d: int, k: int) -> RationalFunction:
-        return self.coords.get((d, k), RF_ZERO)
-
     def render(self) -> str:
         return _render_terms(
             (self.coords[d, k], _power("B", d) + _power("[A,B]", k) + _power("A", -d))

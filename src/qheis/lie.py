@@ -39,6 +39,7 @@ from .heis import (
     bracketed_word,
     comm_power,
     commutator,
+    lie_power_vector,
     lincomb,
     nf_word,
     to_lie_power_basis,
@@ -50,7 +51,8 @@ from .heis import (
 
 
 class _Basis(Value):
-    """A basis vector, printed as its fields put into ``form``."""
+    """A basis vector, printed as its fields put into ``form``.  ``dk`` is its
+    key (d, k) in the [A,B]-power basis of ``heis.lie_power_vector``."""
 
     __slots__ = ()
 
@@ -59,20 +61,23 @@ class _Basis(Value):
 
 
 class BrBA(_Basis):
-    """The Lie monomial <BA> = BA - AB = -[A,B]."""
+    """The Lie monomial <BA> = BA - AB = -[A,B]: the (0, 1) vector negated."""
 
     __slots__ = ()
     form = "<BA>"
+    dk = (0, 1)
 
 
 class GenA(_Basis):
     __slots__ = ()
     form = "A"
+    dk = (-1, 0)
 
 
 class GenB(_Basis):
     __slots__ = ()
     form = "B"
+    dk = (1, 0)
 
 
 class AlphaBar(_Basis):
@@ -80,6 +85,7 @@ class AlphaBar(_Basis):
 
     __slots__ = ("k", "l")
     form = "Abar(%d,%d)"
+    dk = property(lambda self: (-self.l, self.k + 1))
 
     def __init__(self, k: int, l: int):
         self.k, self.l = self._key = (k, l)
@@ -90,6 +96,7 @@ class BetaBar(_Basis):
 
     __slots__ = ("k", "l")
     form = "Bbar(%d,%d)"
+    dk = property(lambda self: (self.l, self.k + 1))
 
     def __init__(self, k: int, l: int):
         self.k, self.l = self._key = (k, l)
@@ -100,6 +107,7 @@ class GammaBar(_Basis):
 
     __slots__ = ("k",)
     form = "Gbar(%d)"
+    dk = property(lambda self: (0, self.k + 2))
 
     def __init__(self, k: int):
         (self.k,) = self._key = (k,)
@@ -110,6 +118,7 @@ class Unit(_Basis):
 
     __slots__ = ()
     form = "I"
+    dk = (0, 0)
 
 
 class PowerA(_Basis):
@@ -117,6 +126,7 @@ class PowerA(_Basis):
 
     __slots__ = ("k",)
     form = "A^%d"
+    dk = property(lambda self: (-self.k, 0))
 
     def __init__(self, k: int):
         (self.k,) = self._key = (k,)
@@ -127,6 +137,7 @@ class PowerB(_Basis):
 
     __slots__ = ("l",)
     form = "B^%d"
+    dk = property(lambda self: (self.l, 0))
 
     def __init__(self, l: int):
         (self.l,) = self._key = (l,)
@@ -144,35 +155,30 @@ def _require_generic(q: QValue, what: str) -> None:
         )
 
 
+def gen_basis_key(d: int, k: int) -> BasisKey:
+    """The basis vector of [A,B]-power key (d, k): the inverse of ``dk``."""
+    if k < 0:
+        raise ValueError("no basis vector has key %r" % ((d, k),))
+    if d > 0:
+        return (GenB() if d == 1 else PowerB(d)) if k == 0 else BetaBar(k - 1, d)
+    if d < 0:
+        return (GenA() if d == -1 else PowerA(-d)) if k == 0 else AlphaBar(k - 1, -d)
+    return Unit() if k == 0 else BrBA() if k == 1 else GammaBar(k - 2)
+
+
 @lru_cache(maxsize=None)
 def expand_gen_basis(v: BasisKey, q: QValue) -> NormalElement:
-    """PBW expansion of a basis vector of H(q) (generic-q families)."""
+    """PBW expansion of a basis vector of H(q) (generic-q families): the
+    [A,B]-power vector of its key, negated for <BA>."""
     _require_generic(q, "expand_gen_basis")
-    if isinstance(v, BrBA):
-        return bracketed_word("BA", q)
-    if isinstance(v, GenA):
-        return NormalElement.monomial(0, 1, q)
-    if isinstance(v, GenB):
-        return NormalElement.monomial(1, 0, q)
-    if isinstance(v, AlphaBar):
-        if v.k < 0 or v.l < 1:
-            raise ValueError("AlphaBar needs k >= 0, l >= 1")
-        return comm_power(v.k + 1, q) * NormalElement.monomial(0, v.l, q)
-    if isinstance(v, BetaBar):
-        if v.k < 0 or v.l < 1:
-            raise ValueError("BetaBar needs k >= 0, l >= 1")
-        return NormalElement.monomial(v.l, 0, q) * comm_power(v.k + 1, q)
-    if isinstance(v, GammaBar):
-        if v.k < 0:
-            raise ValueError("GammaBar needs k >= 0")
-        return comm_power(v.k + 2, q)
-    if isinstance(v, Unit):
-        return NormalElement.one(q)
-    if isinstance(v, PowerA):
-        return NormalElement.monomial(0, v.k, q)
-    if isinstance(v, PowerB):
-        return NormalElement.monomial(v.l, 0, q)
-    raise TypeError("unknown basis vector %r" % (v,))
+    dk = getattr(v, "dk", None)
+    if dk is None:
+        raise TypeError("unknown basis vector %r" % (v,))
+    named = gen_basis_key(*dk)
+    if named != v:  # an index out of its family's range
+        raise ValueError("%s is not a basis vector: its key %r names %s" % (v.render(), dk, named.render()))
+    x = lie_power_vector(*dk, q)
+    return -x if dk == (0, 1) else x
 
 
 def combo_expand(pairs: List[Tuple[RationalFunction, BasisKey]], q: QValue) -> NormalElement:
@@ -183,27 +189,10 @@ def combo_expand(pairs: List[Tuple[RationalFunction, BasisKey]], q: QValue) -> N
 def gen_basis_coords(x: NormalElement) -> Dict[BasisKey, RationalFunction]:
     """Exact coordinates of x in the full basis of H(q): the L(q) basis
     {<BA>, A, B, Abar, Bbar, Gbar} plus the complement {I, A^k, B^l}."""
-    coords = to_lie_power_basis(x)
-    out: Dict[BasisKey, RationalFunction] = {}
-    for (d, k), c in coords.coords.items():
-        if d == 0:
-            if k == 0:
-                out[Unit()] = c
-            elif k == 1:
-                out[BrBA()] = -c
-            else:
-                out[GammaBar(k - 2)] = c
-        elif d > 0:
-            if k == 0:
-                out[GenB() if d == 1 else PowerB(d)] = c
-            else:
-                out[BetaBar(k - 1, d)] = c
-        else:
-            if k == 0:
-                out[GenA() if d == -1 else PowerA(-d)] = c
-            else:
-                out[AlphaBar(k - 1, -d)] = c
-    return out
+    return {
+        gen_basis_key(*dk): -c if dk == (0, 1) else c
+        for dk, c in to_lie_power_basis(x).coords.items()
+    }
 
 
 def in_lie_span(coords: LiePowerCoords) -> bool:
@@ -662,21 +651,10 @@ def matrix_rank(rows: List[Dict]) -> int:
 
 
 def generic_basis_vectors(bound: int, q: QValue) -> List[Tuple[BasisKey, NormalElement]]:
-    """All claimed H(q) basis vectors whose PBW support fits m, n <= bound."""
-    out: List[Tuple[BasisKey, NormalElement]] = [(Unit(), NormalElement.one(q))]
-    for k in range(1, bound + 1):
-        out.append((PowerA(k) if k >= 2 else GenA(), NormalElement.monomial(0, k, q)))
-    for l in range(1, bound + 1):
-        out.append((PowerB(l) if l >= 2 else GenB(), NormalElement.monomial(l, 0, q)))
-    out.append((BrBA(), expand_gen_basis(BrBA(), q)))
-    for k in range(bound - 1):
-        out.append((GammaBar(k), expand_gen_basis(GammaBar(k), q)))
-    for k in range(bound):
-        for l in range(1, bound + 1):
-            if k + 1 + l <= bound:
-                out.append((AlphaBar(k, l), expand_gen_basis(AlphaBar(k, l), q)))
-                out.append((BetaBar(k, l), expand_gen_basis(BetaBar(k, l), q)))
-    return out
+    """All claimed H(q) basis vectors whose PBW support fits m, n <= bound:
+    the keys (d, k) with |d| + k <= bound."""
+    keys = [gen_basis_key(d, k) for k in range(bound + 1) for d in range(k - bound, bound - k + 1)]
+    return [(v, expand_gen_basis(v, q)) for v in keys]
 
 
 def independence_counts(q_mode: str, degree_bound: int, q: QValue = None):
@@ -813,9 +791,9 @@ def zero_basis_vectors(bound: int, extended: bool) -> List[Tuple[object, NormalE
             out.append(("B%dA2" % j, NormalElement.monomial(j, 2, Q_ZERO)))
     else:
         for n in range(1, bound + 1):
-            out.append((PowerA(n) if n >= 2 else GenA(), NormalElement.monomial(0, n, Q_ZERO)))
+            out.append((gen_basis_key(-n, 0), NormalElement.monomial(0, n, Q_ZERO)))
         for m in range(1, bound + 1):
-            out.append((PowerB(m) if m >= 2 else GenB(), NormalElement.monomial(m, 0, Q_ZERO)))
+            out.append((gen_basis_key(m, 0), NormalElement.monomial(m, 0, Q_ZERO)))
     for m in range(1, bound + 1):
         for n in range(1, bound + 1):
             out.append((BrMN(m, n), brmn_closed(m, n)))

@@ -90,7 +90,7 @@ Items = Iterator[Item]
 
 
 # ---------------------------------------------------------------------------
-# checks: fn(key, *args) -> Entry
+# checks: fn(key, *args) -> Entry, or a list of entries
 # ---------------------------------------------------------------------------
 
 
@@ -110,9 +110,11 @@ def _sides(key: Tuple, sides: Callable, *args) -> Entry:
     return _compare(key, *sides(*args))
 
 
-def _nth_sides(key: Tuple, i: int, sides: Callable, *args) -> Entry:
-    """Compare the i-th (lhs, rhs) pair of the pairs ``sides(*args)`` returns."""
-    return _compare(key, *sides(*args)[i])
+def _two_sides(key: Tuple, key2: Tuple, sides: Callable, *args) -> List[Entry]:
+    """Compare the two (lhs, rhs) pairs that ``sides(*args)`` returns, under
+    key and key2."""
+    first, second = sides(*args)
+    return [_compare(key, *first), _compare(key2, *second)]
 
 
 def _pair(key: Tuple, lhs: Callable, lhs_args: Tuple, rhs: Callable, rhs_args: Tuple) -> Entry:
@@ -270,14 +272,12 @@ def _bnan_anbn(q: QValue, bounds) -> Items:
 def _adad(q: QValue, bounds) -> Items:
     for m in range(bounds["m"] + 1):
         for n in range(bounds["n"] + 1):
-            yield ("ad-brBA", m, n), _nth_sides, (0, adad_sides, m, n, q)
-            yield ("ad-B", m, n), _nth_sides, (1, adad_sides, m, n, q)
+            yield ("ad-brBA", m, n), _two_sides, (("ad-B", m, n), adad_sides, m, n, q)
 
 
 def _fban(q: QValue, bounds) -> Items:
     for n in range(1, bounds["n"] + 1):
-        yield ("brBAn", n), _nth_sides, (0, fban_sides, n, q)
-        yield ("brBnA", n), _nth_sides, (1, fban_sides, n, q)
+        yield ("brBAn", n), _two_sides, (("brBnA", n), fban_sides, n, q)
 
 
 # ---------------------------------------------------------------------------

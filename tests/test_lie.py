@@ -20,6 +20,7 @@ import qheis
 from qheis.coeff import CoefficientError, QValue, RF_ONE, RF_Q, RationalFunction
 from qheis.heis import (
     DegenerateQError,
+    LiePowerCoords,
     NormalElement,
     bracketed_word,
     comm_power,
@@ -29,6 +30,7 @@ from qheis.lie import (
     AlphaBar,
     BetaBar,
     BrBA,
+    BrMN,
     CiCoefficient,
     GammaBar,
     GenA,
@@ -43,7 +45,9 @@ from qheis.lie import (
     bigcomrel_sides,
     expand_gen_basis,
     gen_basis_coords,
+    gen_basis_key,
     generic_basis_vectors,
+    in_lie_span,
     independence_counts,
     matrix_rank,
     membership_generic,
@@ -90,6 +94,62 @@ def test_gen_basis_coords_identify_the_families():
     assert coords[PowerA(3)] == RF_ONE and coords[Unit()] == RF_ONE
     assert gen_basis_coords(mono(0, 1)) == {GenA(): RF_ONE}
     assert gen_basis_coords(mono(1, 0)) == {GenB(): RF_ONE}
+
+
+def _box_keys(bound):
+    return [(d, k) for k in range(bound + 1) for d in range(k - bound, bound - k + 1)]
+
+
+def test_gen_basis_key_inverts_dk_and_the_coordinates():
+    for d, k in _box_keys(8):
+        v = gen_basis_key(d, k)
+        assert v.dk == (d, k), v
+        assert gen_basis_coords(expand_gen_basis(v, SYM)) == {v: RF_ONE}, v
+
+
+@pytest.mark.parametrize("q", ["symbolic", "2", "-1/3"])
+def test_expand_gen_basis_matches_the_product_definition(q):
+    q = QValue.parse(q)
+    a = lambda e: NormalElement.monomial(0, e, q)
+    b = lambda e: NormalElement.monomial(e, 0, q)
+    cases = [
+        (BrBA(), bracketed_word("BA", q)),
+        (GenA(), a(1)),
+        (GenB(), b(1)),
+        (Unit(), NormalElement.one(q)),
+    ]
+    for k in range(4):
+        cases.append((GammaBar(k), comm_power(k + 2, q)))
+        for l in range(1, 4):
+            cases.append((AlphaBar(k, l), comm_power(k + 1, q) * a(l)))
+            cases.append((BetaBar(k, l), b(l) * comm_power(k + 1, q)))
+    for e in range(2, 5):
+        cases += [(PowerA(e), a(e)), (PowerB(e), b(e))]
+    for v, expected in cases:
+        assert expand_gen_basis(v, q) == expected, v
+
+
+def test_in_lie_span_rule_is_the_complement_of_the_map():
+    for d, k in _box_keys(8):
+        coords = LiePowerCoords(SYM, {(d, k): RF_ONE})
+        outside = isinstance(gen_basis_key(d, k), (Unit, PowerA, PowerB))
+        assert in_lie_span(coords) is not outside, (d, k)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [AlphaBar(-1, 1), AlphaBar(0, 0), BetaBar(0, 0), GammaBar(-1), GammaBar(-3), PowerA(1), PowerA(0), PowerB(1)],
+    ids=repr,
+)
+def test_expand_gen_basis_rejects_indices_out_of_range(v):
+    with pytest.raises(ValueError):
+        expand_gen_basis(v, SYM)
+
+
+def test_expand_gen_basis_rejects_keys_without_dk():
+    for v in (BrMN(1, 1), "A"):
+        with pytest.raises(TypeError):
+            expand_gen_basis(v, SYM)
 
 
 # -- beta generators ----------------------------------------------------------
