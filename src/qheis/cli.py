@@ -1,10 +1,13 @@
-"""Command-line front end.
+"""qheis: exact calculator and verifier for H(q) = <A, B | AB - qBA = I>.
 
-    qheis verify --suite table1 --q symbolic --bound idx=3 [--json out.json] [--jobs N]
-    qheis eval --q symbolic "A*B - q*B*A - I"
+    qheis verify --suite SUITE [--q Q] [--bound NAME=VALUE]... [--json PATH] [--jobs N] [--quiet]
+    qheis eval [--q Q] EXPRESSION
 
-`--jobs N` is accepted for compatibility and ignored: threads never beat a
-serial run of the pure-Python algebra.
+Q is 'symbolic' (the default) or a rational p/r.  An option takes its value
+after '=' or as the next token, even one that starts with '-' (--q -1/3).
+Any other token that starts with '-', except -h and --help, is eval's
+EXPRESSION (eval -B); a lone '--' ends the options.  --jobs is accepted and
+ignored (suites run serially); it stays because perfbench/run.py passes it.
 
 Exit status: 0 when nothing failed, 1 when any entry failed, 2 on usage
 errors (unknown suite, malformed q or bounds, an unwritable --json path,
@@ -13,20 +16,26 @@ expression syntax errors, too deep or too long input, division by zero).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from .coeff import QValue
-from .expr import ParseError, EvalError, eval_expr, parse, pretty
+from .expr import eval_expr, parse, pretty
 from .suites import SUITES, SuiteConfig, run_suite
 
+# the options that take a value, per command
+_OPTIONS = {"verify": ("--suite", "--q", "--bound", "--json", "--jobs"), "eval": ("--q",)}
+_USAGE = {
+    "verify": "qheis verify --suite SUITE [--q Q] [--bound NAME=VALUE]... [--json PATH] [--jobs N] [--quiet]",
+    "eval": "qheis eval [--q Q] EXPRESSION",
+}
 
-def _parse_bounds(pairs: Optional[List[str]]) -> Dict[str, int]:
+
+def _parse_bounds(pairs: List[str]) -> Dict[str, int]:
     out: Dict[str, int] = {}
-    for item in pairs or []:
+    for item in pairs:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ValueError("--bound expects name=value, got %r" % item)
@@ -34,25 +43,6 @@ def _parse_bounds(pairs: Optional[List[str]]) -> Dict[str, int]:
             out[name] = int(value)
         except ValueError as exc:
             raise ValueError("--bound %s needs an integer, got %r" % (name, value)) from exc
-    return out
-
-
-def _prepare_argv(argv: List[str]) -> List[str]:
-    """Rewrite the tokens argparse would misread as options.  It reads a
-    separate token that starts with '-' and is not a plain number as an
-    option, so ``--q -1/3`` becomes ``--q=-1/3``, and an ``eval``
-    expression that starts with a single '-' (``-B``, ``-2*A*B``) moves to
-    the end, behind ``--``."""
-    out: List[str] = []
-    for tok in argv:
-        if out and out[-1] == "--q" and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = "--q=" + tok
-        else:
-            out.append(tok)
-    if out[:1] == ["eval"] and "--" not in out:
-        for i, tok in enumerate(out):
-            if tok[:1] == "-" and tok[1:2] != "-" and tok != "-h" and out[i - 1] != "--q":
-                return out[:i] + out[i + 1 :] + ["--", tok]
     return out
 
 
@@ -69,32 +59,59 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-@lru_cache(maxsize=None)  # built once per process: parsing leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qheis",
-        description="exact verifier for the q-deformed Heisenberg algebra AB - qBA = I",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _exit(command: Optional[str], error: str = "") -> None:
+    """Print the help of ``command`` (None: of both) and exit 0, or the
+    usage and ``error`` on stderr and exit 2."""
+    usage = "usage: " + _USAGE.get(command, "\n       ".join(_USAGE.values()))
+    if error:
+        print("%s\nqheis: error: %s" % (usage, error), file=sys.stderr)
+        raise SystemExit(2)
+    print("%s\n\n%s\nsuites: %s" % (usage, __doc__, ", ".join(sorted(SUITES))))
+    raise SystemExit(0)
 
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    verify.add_argument("--q", default="symbolic", help="'symbolic' or a rational p/r")
-    verify.add_argument(
-        "--bound", action="append", metavar="NAME=VALUE", help="override a suite bound"
-    )
-    verify.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    verify.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="accepted and ignored; suites run serially"
-    )
-    verify.add_argument(
-        "--quiet", action="store_true", help="print only the summary line"
-    )
 
-    ev = sub.add_parser("eval", help="evaluate an expression in H(q)")
-    ev.add_argument("--q", default="symbolic", help="'symbolic' or a rational p/r")
-    ev.add_argument("expression")
-    return parser
+def _parse_argv(argv: List[str]) -> SimpleNamespace:
+    """The fields of ``argv`` under the grammar of the module docstring."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in ("-h", "--help"):
+        _exit(None)
+    if command not in _OPTIONS:
+        _exit(None, "expected the command verify or eval, got %s" % ("nothing" if command is None else repr(command)))
+    args = SimpleNamespace(command=command, q="symbolic")
+    if command == "verify":
+        args.__dict__.update(suite=None, bound=[], json=None, jobs=1, quiet=False)
+    rest: List[str] = []
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        if tok == "--":
+            rest.extend(tokens)  # the tokens after it are all operands
+        elif tok in ("-h", "--help"):
+            _exit(command)
+        elif tok == "--quiet" and command == "verify":
+            args.quiet = True
+        elif name not in _OPTIONS[command]:
+            rest.append(tok)
+        else:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                _exit(command, "argument %s: expected one argument" % name)
+            if name == "--suite" and value not in SUITES:
+                _exit(command, "argument --suite: invalid choice: %r" % value)
+            try:
+                value = int(value) if name == "--jobs" else value
+            except ValueError:
+                _exit(command, "argument --jobs: invalid int value: %r" % value)
+            setattr(args, name[2:], args.bound + [value] if name == "--bound" else value)
+    if command == "verify" and args.suite is None:
+        _exit(command, "the following arguments are required: --suite")
+    if command == "eval":
+        if not rest:
+            _exit(command, "the following arguments are required: EXPRESSION")
+        args.expression = rest.pop(0)
+    if rest:
+        _exit(command, "unrecognized arguments: %s" % " ".join(rest))
+    return args
 
 
 def _cmd_verify(args) -> int:
@@ -110,29 +127,21 @@ def _cmd_verify(args) -> int:
     report = run_suite(cfg)
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+            fh.write(report.to_json() + "\n")
     if args.quiet:
         s = report.summary
-        print(
-            "suite=%s q=%s pass=%d fail=%d skipped=%d"
-            % (report.suite, report.q, s["pass"], s["fail"], s["skipped"])
-        )
+        print("suite=%s q=%s pass=%d fail=%d skipped=%d" % (report.suite, report.q, s["pass"], s["fail"], s["skipped"]))
     else:
         print(report.render_text())
     return 0 if report.all_passed else 1
 
 
 def _cmd_eval(args) -> int:
-    try:
+    try:  # ParseError and EvalError are ValueErrors
         q = QValue.parse(args.q)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         ast = parse(args.expression)
         result = eval_expr(ast, q)
-    except (ParseError, EvalError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print("expression:   %s" % pretty(ast))
@@ -147,10 +156,7 @@ def _cmd_eval(args) -> int:
         print("membership:   undecided (q = %s is degenerate)" % q.render())
     else:
         where = "L(0)" if result.membership_mode == "zero" else "L(q)"
-        print(
-            "membership:   %s %s"
-            % ("member of" if result.membership else "NOT a member of", where)
-        )
+        print("membership:   %s %s" % ("member of" if result.membership else "NOT a member of", where))
     return 0
 
 
@@ -164,14 +170,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     limit = _get_digit_limit()
     _set_digit_limit(0)
     try:
-        parser = _build_parser()
-        args = parser.parse_args(_prepare_argv(sys.argv[1:] if argv is None else argv))
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        parser.error("unknown command")
-        return 2
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        return _cmd_verify(args) if args.command == "verify" else _cmd_eval(args)
     finally:
         _set_digit_limit(limit)
 

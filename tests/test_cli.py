@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qheis.cli import _build_parser, _check_writable, main
+from qheis.cli import _check_writable, main
 from qheis.coeff import QValue
 from qheis.expr import eval_expr, parse
 from qheis.lie import KNOWN_DISCREPANCIES, table1_cells
@@ -44,10 +44,12 @@ def test_readme_suite_table_names_every_suite_once():
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     """Every CLI call is a fresh process: importing ``dataclasses`` (which
     imports ``inspect``) and building its generated methods cost about 20 ms
-    of each call's start-up, so the CLI's modules do without them.  ``-S``
-    keeps site hooks of the environment out of the check."""
+    of each call's start-up, and ``argparse`` (which imports ``gettext``)
+    about 2 ms more, so the CLI's modules do without them.  ``-S`` keeps
+    site hooks of the environment out of the check."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, qheis.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    heavy = "{'dataclasses', 'inspect', 'argparse', 'gettext'}"
+    code = "import sys, qheis.cli; print(sorted(%s & set(sys.modules)))" % heavy
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
@@ -404,6 +406,8 @@ def test_cli_eval_prints_every_digit_of_a_big_integer(capsys):
 
 
 def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # one process serves many calls (the benchmark's eval sessions): a call
+    # prints what it would print as the first call of a process
     def call(argv):
         try:
             code = main(argv)
@@ -413,29 +417,65 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
         return code, out.out, out.err
 
     def first_call(argv):
-        _build_parser.cache_clear()
-        return call(argv)
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys; from qheis.cli import main; sys.exit(main(sys.argv[1:]))"
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+            cwd=tmp_path, capture_output=True, text=True,
+        )
+        return out.returncode, out.stdout, out.stderr
 
     verify = ["verify", "--suite", "table1", "--q=-1/3", "--quiet", "--json"]
-    first_json = tmp_path / "first.json"
-    want_verify = first_call(verify + [str(first_json)])
+    want_verify = first_call(verify + ["first.json"])
     want_eval = first_call(["eval", "--q=2", "A*B - B^2"])
     want_minus = first_call(["eval", "-B"])
     want_minus_q = first_call(["eval", "--q", "-1/3", "-B"])
 
     assert want_verify[0] == 1  # the printed typo cells of table1
-    _build_parser.cache_clear()
-    # --bound appends to a list: a later call without it gets the defaults
+    # --bound adds to a list: a later call without it gets the defaults
     bounded = call(verify[:-1] + ["--bound", "idx=1"])
     assert bounded[0] == 1 and bounded[1] != want_verify[1]
     later_json = tmp_path / "later.json"
     assert call(verify + [str(later_json)]) == want_verify
-    assert later_json.read_text() == first_json.read_text()
+    assert later_json.read_text() == (tmp_path / "first.json").read_text()
     # a usage error leaves nothing behind
     assert call(["eval", "--q"])[0] == 2
     assert call(["eval", "--q=2", "A*B - B^2"]) == want_eval
-    # neither does --help, nor the argv rewriting of a leading '-'
+    # neither does --help, nor an expression that starts with '-'
     assert call(["eval", "--help"])[0] == 0
     assert call(["eval", "-B"]) == want_minus
     assert call(["eval", "--q", "-1/3", "-B"]) == want_minus_q
-    assert _build_parser.cache_info().misses == 1
+    assert call(["eval", "--q=2", "A*B - B^2"]) == want_eval
+
+
+def test_help_lists_both_commands_and_every_suite(capsys):
+    for argv in (["-h"], ["--help"], ["verify", "-h"], ["eval", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: qheis ") and not err
+        assert "qheis verify --suite SUITE" in out and "qheis eval [--q Q] EXPRESSION" in out
+        assert all(name in out for name in SUITES)
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        ([], "expected the command verify or eval, got nothing"),
+        (["frob"], "expected the command verify or eval, got 'frob'"),
+        (["verify"], "the following arguments are required: --suite"),
+        (["eval"], "the following arguments are required: EXPRESSION"),
+        (["verify", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+        (["verify", "--suite", "adad", "A"], "unrecognized arguments: A"),
+        (["eval", "A", "B"], "unrecognized arguments: B"),
+    ],
+)
+def test_usage_errors_print_usage_and_the_cause(argv, cause, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert not out and lines[0].startswith("usage: qheis ")
+    assert lines[-1] == "qheis: error: " + cause
