@@ -4,7 +4,8 @@
     qheis eval [--q Q] EXPRESSION
 
 Q is 'symbolic' (the default) or a rational p/r.  An option takes its value
-after '=' or as the next token, even one that starts with '-' (--q -1/3).
+after '=' or as the next token: --q any next token, even one that starts
+with '-' (--q -1/3), the other options one that does not start with '--'.
 Any other token that starts with '-', except -h and --help, is eval's
 EXPRESSION (eval -B); a lone '--' ends the options.  --jobs is accepted and
 ignored (suites run serially); it stays because perfbench/run.py passes it.
@@ -94,7 +95,7 @@ def _parse_argv(argv: List[str]) -> SimpleNamespace:
             rest.append(tok)
         else:
             value = value if eq else next(tokens, None)
-            if value is None:
+            if value is None or not eq and name != "--q" and value[:2] == "--":
                 _exit(command, "argument %s: expected one argument" % name)
             if name == "--suite" and value not in SUITES:
                 _exit(command, "argument --suite: invalid choice: %r" % value)

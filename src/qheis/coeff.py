@@ -5,8 +5,8 @@ Everything here is immutable and exact.  A coefficient is always a
 ``RationalFunction``, so one scalar type serves the symbolic and the
 specialized modes alike.  At a rational q the algebra produces constants
 n/d; an element may be given polynomials (sum n_e q^e)/d, which the kernels
-of ``heis`` run once per power of q (grad-basis-roundtrip draws them in
-Z[q]).  ``+`` and ``*`` of two constants take an integer path (cross-cancel
+of ``heis`` take over Q(q) (grad-basis-roundtrip draws them in Z[q] and
+checks each power of q on its own).  ``+`` and ``*`` of two constants take an integer path (cross-cancel
 before multiplying, one ``math.gcd`` after adding) and skip ``_normalize``.
 ``QValue``, the parameter q, is a ``Value``: with ``Record``, the plain
 slotted base of every record class of qheis.
@@ -742,21 +742,3 @@ def q_binomial(n: int, i: int, z: RationalFunction) -> RationalFunction:
     for c in reversed(poly.coeffs):
         acc = acc * z + RationalFunction.from_int(c)
     return acc
-
-
-def gauss_polynomial(n: int, x, z: RationalFunction):
-    """Gauss polynomial G_n(x; z) = sum (-1)^(n-i) z^C(n-i,2) (n i)_z x^i.
-
-    ``x`` may be any algebra element supporting ``**`` (with x**0 the
-    identity), ``+``, and ``scale`` by a RationalFunction.
-    """
-    if n < 0:
-        raise ValueError("gauss_polynomial needs n >= 0")
-    total = None
-    for i in range(n + 1):
-        c = q_binomial(n, i, z) * z ** binom2(n - i)
-        if (n - i) % 2:
-            c = -c
-        term = (x**i).scale(c)
-        total = term if total is None else total + term
-    return total

@@ -18,11 +18,11 @@ keeps its sizes and its packs (`_codec`), one term map per width W
 whole process.  At symbolic q each coefficient must be in Z[q] and is packed
 into its value at q = 2^W (Kronecker substitution, W = K from a proven
 l1-norm bound).  At rational q each must be a constant n/d and becomes
-n W/d, W a multiple of the lcm denominator D; `lincomb` also needs two pairs
-or more, and it and `to_lie_power_basis` split a polynomial (sum n_e q^e)/d
-into constants (`_slices`), run once per power of q and joined (`_join`).
-One encoder, `_scalars`, brings the scalars c of `lincomb` over one
-denominator, and one decoder, `_decode`, turns every kernel's ints back into
+n W/d, W a multiple of the lcm denominator D, and `lincomb` also needs two
+pairs or more.  A polynomial coefficient at rational q takes the loop over
+Q(q); the one suite that draws them, grad-basis-roundtrip, splits them into
+constants itself.  One encoder, `_scalars`, brings the scalars c of
+`lincomb` over one denominator, and one decoder, `_decode`, turns every kernel's ints back into
 coefficients, `lie.zero_basis_coords` included: over q^a (q-1)^b by
 `coeff._over_q_q1` (not the generic `_normalize`), or over an int D by one
 gcd.  Packed values go to and from their balanced base-2^K digits (`_pack`,
@@ -65,7 +65,6 @@ from .coeff import (
     _split_q_q1,
     add_terms,
     binom2,
-    gauss_polynomial,
     gauss_terms,
     q_int,
     q_laurent,
@@ -282,38 +281,6 @@ def _scalars(cs, q: QValue):
     return [c.num * _q_q1_poly(1, A - split[c.den][1], B - split[c.den][2]) for c in cs], (A, B)
 
 
-def _slices(terms):
-    """{e: {key: n_e/d}} for a term map of coefficients (sum n_e q^e)/d, one
-    gcd and ``_const`` per piece; None if a d is not a constant."""
-    out: Dict = {}
-    for key, c in terms.items():
-        if len(c.den.coeffs) > 1:
-            return None
-        for e, n in enumerate(c.num.coeffs):
-            if n:
-                g = math.gcd(n, c.den.coeffs[0])
-                out.setdefault(e, {})[key] = _const(n // g, c.den.coeffs[0] // g)
-    return out
-
-
-def _join(slices):
-    """Inverse of ``_slices``, in descending keys: each key's pieces c q^e over
-    the lcm D of their reduced denominators, already canonical (for each
-    prime p of D, the piece with most factors p in its denominator keeps a
-    numerator prime to p); a key whose pieces sum to 0 goes."""
-    pieces: Dict = {}
-    for e, t in slices.items():
-        for key, c in t.items():
-            pieces.setdefault(key, {})[e] = c
-    out: Dict = {}
-    for key, ps in sorted(pieces.items(), reverse=True):
-        D = math.lcm(*(c.den.coeffs[0] for c in ps.values()))
-        nums = [sum(ps[e].num.coeffs) * (D // ps[e].den.coeffs[0]) if e in ps else 0 for e in range(max(ps) + 1)]
-        if any(nums):
-            out[key] = RationalFunction(IntPoly(nums), IntPoly((D,)), _raw=True)
-    return out
-
-
 def _reorderings(xt, yt):
     """Each (n, m), n, m >= 1, for which the product of the term maps xt and
     yt reorders an A^n B^m."""
@@ -479,8 +446,8 @@ def _unpack(v: int, K: int) -> IntPoly:
 
 def lincomb(pairs, q: QValue) -> NormalElement:
     """The sum of c x over the (c, x) pairs, summed on ints and decoded once
-    per key; any input the codec of q does not take goes through the
-    scale-and-add loop.
+    per key; any input the codec of q does not take, such as a polynomial
+    scalar or coefficient at rational q, goes through the scale-and-add loop.
 
     Every coefficient of every x must fit ``_codec``, and ``_scalars`` must
     bring the c to nums over one den.  At symbolic q everything is packed at
@@ -488,14 +455,8 @@ def lincomb(pairs, q: QValue) -> NormalElement:
     ``_packed_product``.  At rational q there must be two pairs or more
     (``scale`` is as fast for one, and an x read here keeps its packs): each
     x is read over its own Dx, the nums are brought to the lcm L of the Dx,
-    and every sum is an integer over den L.  Scalars (sum n_e q^e)/d at
-    rational q are split by ``_slices``: one such sum per power e."""
+    and every sum is an integer over den L."""
     pairs = list(pairs)
-    if not q.is_symbolic and any(len(c.num.coeffs) > 1 for c, _ in pairs) and all(_codec(x) for _, x in pairs):
-        slices = _slices(dict(enumerate(c for c, _ in pairs)))
-        if slices is not None:  # one lincomb per power of q, over every pair (0 scalars too)
-            out = {e: lincomb([(t.get(i, RF_ZERO), x) for i, (_, x) in enumerate(pairs)], q).terms for e, t in slices.items()}
-            return NormalElement(q, _join(out), _raw=True)
     fits = all(x.q == q for _, x in pairs) and (q.is_symbolic or len(pairs) > 1)
     sc = _scalars([c for c, _ in pairs], q) if fits else None
     if sc is None or not all(_codec(x) for _, x in pairs):
@@ -659,14 +620,20 @@ def anbn_expand(n: int, q: QValue) -> NormalElement:
 
 def anbn_via_gauss(n: int, q: QValue) -> NormalElement:
     """A^n B^n computed through the Gauss polynomial route:
-    q^C(n,2) (q-1)^-n G_n(q[A,B]; q^-1)."""
+    q^C(n,2) (q-1)^-n G_n(q[A,B]; 1/q), G_n(x; z) the Gauss polynomial
+    sum_i (-1)^(n-i) z^C(n-i,2) (n i)_z x^i, summed by one ``lincomb``.
+    With (n i)_q = sum c_j q^j, the scalar of [A,B]^i is
+    (-1)^(n-i) q^(C(n,2) + i - C(n-i,2)) sum c_j q^-j over (q-1)^n: (n i)_(1/q)
+    is taken term by term, not as the ``anbn_expand`` closed form."""
     if n < 0:
         raise ValueError("anbn_via_gauss needs n >= 0")
     _require_not_01(q, "anbn_via_gauss")
-    q_rf = q.scalar()
-    x = comm_power(1, q).scale(q_rf)
-    g = gauss_polynomial(n, x, q_rf.inv())
-    return g.scale(q_rf ** binom2(n) * (q_rf - RF_ONE) ** (-n))
+
+    def scalar(i):
+        e = binom2(n) + i - binom2(n - i)
+        return q_laurent(q, [(c, e - j) for c, j in gauss_terms(n, i, 0, (-1) ** (n - i))], n)
+
+    return lincomb(((scalar(i), comm_power(i, q)) for i in range(n + 1)), q)
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +761,7 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
       leading coefficient does not divide its pivot entry, the remainder
       and the coordinates so far are scaled up until it does, and D with
       them.
-    - anything else: Q(q), but at rational q a part of coefficients
-      (sum n_e q^e)/d is solved as above once per power e (``_slices``).
+    - anything else, polynomial coefficients at rational q included: Q(q).
 
     The remainder is a copy, so the packs kept with x, or with a cached
     element such as ``comm_power(k, q)``, are never changed.
@@ -805,12 +771,8 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
     coords: Dict[Tuple[int, int], RationalFunction] = {}
     parts = grade(x)  # popped: each part and its packs go before its solve
     for d in list(parts):
-        slices = None if q.is_symbolic or _codec(parts[d]) else _slices(parts[d].terms)
-        if slices is None:
-            rem, vector, quotient, decode = _basis_codec(parts.pop(d))
-            coords.update(((d, k), c) for k, c in decode(*_back_substitute(rem, d, vector, quotient)).items())
-        else:  # joined in descending k, the order of the loop over Q(q)
-            coords.update(_join({e: to_lie_power_basis(NormalElement(q, t, _raw=True)).coords for e, t in slices.items()}))
+        rem, vector, quotient, decode = _basis_codec(parts.pop(d))
+        coords.update(((d, k), c) for k, c in decode(*_back_substitute(rem, d, vector, quotient)).items())
     return LiePowerCoords(q, coords)
 
 

@@ -34,9 +34,11 @@ from .coeff import (
     RationalFunction,
     Record,
     add_terms,
+    gauss_terms,
     q_binomial,
     q_factorial,
     q_int,
+    q_laurent,
 )
 from .heis import (
     NormalElement,
@@ -135,9 +137,13 @@ def _binomial_pascal(key: Tuple, n: int, i: int, z: RationalFunction) -> Entry:
     return _compare(key, lhs, q_binomial(n - 1, i - 1, z) + z**i * q_binomial(n - 1, i, z))
 
 
-def _binomial_inverse(key: Tuple, n: int, i: int, z: RationalFunction) -> Entry:
-    lhs = q_binomial(n, i, z.inv())
-    return _compare(key, lhs, z ** (-i * (n - i)) * q_binomial(n, i, z))
+def _binomial_inverse(key: Tuple, n: int, i: int, q: QValue) -> Entry:
+    # q_binomial at z = 1/q is q^-i(n-i) (n i)_q by palindromy, so at symbolic
+    # q the rhs takes (n i)_q = sum c_j q^j at 1/q term by term: sum c_j q^-j
+    lhs = q_binomial(n, i, q.power(-1))
+    if q.is_symbolic:
+        return _compare(key, lhs, q_laurent(q, [(c, -j) for c, j in gauss_terms(n, i)]))
+    return _compare(key, lhs, q.power(-i * (n - i)) * q_binomial(n, i, q.scalar()))
 
 
 def _table1_cell(key: Tuple, rv, cv, q: QValue) -> List[Entry]:
@@ -174,8 +180,20 @@ def _nilpotent_case(key: Tuple, m: int, n: int, q: QValue) -> Entry:
 
 
 def _roundtrip(key: Tuple, x: NormalElement) -> Entry:
-    back = from_lie_power_basis(to_lie_power_basis(x))
-    return _boolean(key, back == x, x.render()[:120], "exact round-trip")
+    """x, drawn with coefficients in Z[q], back from its [A,B]-power
+    coordinates.  At rational q both basis changes are linear with constant
+    entries, so x = sum q^e x_e round-trips exactly when each x_e, of the
+    integer coefficients n_e, does: each runs on the integer kernels."""
+    parts = [x]
+    if not x.q.is_symbolic:
+        slices: Dict[int, Dict] = {}
+        for k, c in x.terms.items():
+            for e, n in enumerate(c.num.coeffs):
+                if n:
+                    slices.setdefault(e, {})[k] = RationalFunction.from_int(n)
+        parts = [NormalElement(x.q, t, _raw=True) for t in slices.values()]
+    ok = all(from_lie_power_basis(to_lie_power_basis(y)) == y for y in parts)
+    return _boolean(key, ok, x.render()[:120], "exact round-trip")
 
 
 def _rank(key: Tuple, *args) -> Entry:
@@ -238,7 +256,7 @@ def _qcomb(q: QValue, bounds) -> Items:
             yield ("binomial-symmetry", n, i), _pair, sym
             if 1 <= i <= n - 1:
                 yield ("binomial-pascal", n, i), _binomial_pascal, (n, i, z)
-            yield ("binomial-inverse", n, i), None if q.is_zero else _binomial_inverse, (n, i, z)
+            yield ("binomial-inverse", n, i), None if q.is_zero else _binomial_inverse, (n, i, q)
 
 
 # ---------------------------------------------------------------------------

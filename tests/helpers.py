@@ -2,7 +2,9 @@
 a report read back from its JSON, a coefficient specialized at a rational q,
 a free-algebra element built from (word, coefficient) pairs, and, kept as
 references, the chains of Q(q) operations that built the closed-form scalars
-before ``coeff.q_laurent`` and the term-by-term coefficient text that
+before ``coeff.q_laurent``, the Gauss polynomial route to A^n B^n that
+summed its powers of q[A,B] by hand before ``heis.anbn_via_gauss`` became
+one ``lincomb``, and the term-by-term coefficient text that
 ``IntPoly.render`` wrote before its memo of term strings."""
 
 import json
@@ -16,7 +18,10 @@ from qheis.coeff import (
     RationalFunction,
     _gauss_binomial_poly,
     add_terms,
+    binom2,
+    q_binomial,
 )
+from qheis.heis import comm_power
 from qheis.reports import Entry, Report
 from qheis.words import check_word
 from free_algebra import FreeElement
@@ -94,6 +99,25 @@ def field_ci_value(ci, q) -> RationalFunction:
     front = (q.scalar() - RF_ONE) ** (-ci.n)
     v = horner_q_binomial(ci.n, ci.i, q.scalar()) * (q.power(ci.e1) - q.power(ci.e2))
     return (-v if (ci.n - ci.i) % 2 else v) * front
+
+
+def gauss_polynomial(n: int, x, z: RationalFunction):
+    """Gauss polynomial G_n(x; z) = sum (-1)^(n-i) z^C(n-i,2) (n i)_z x^i,
+    for an algebra element x (x**0 the identity) with ``+`` and ``scale``."""
+    total = None
+    for i in range(n + 1):
+        c = q_binomial(n, i, z) * z ** binom2(n - i)
+        term = (x**i).scale(-c if (n - i) % 2 else c)
+        total = term if total is None else total + term
+    return total
+
+
+def gauss_route_anbn(n: int, q):
+    """A^n B^n as q^C(n,2) (q-1)^-n G_n(q[A,B]; q^-1), by powers of q[A,B]
+    scaled and added one at a time."""
+    z = q.scalar()
+    g = gauss_polynomial(n, comm_power(1, q).scale(z), z.inv())
+    return g.scale(z ** binom2(n) * (z - RF_ONE) ** (-n))
 
 
 def render_poly(p: IntPoly) -> str:

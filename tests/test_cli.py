@@ -354,6 +354,17 @@ def test_cli_verify_rejects_unwritable_json_path_before_running(tmp_path, capsys
     assert not (tmp_path / "missing").exists()
 
 
+def test_cli_verify_refuses_an_option_as_the_value_of_json(tmp_path, capsys, monkeypatch):
+    # --json once took --quiet as its path: the run exited 0 and wrote the
+    # report to a file named --quiet
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "reorder", "--bound", "n=2", "--json", "--quiet"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "qheis: error: argument --json: expected one argument"
+    assert not list(tmp_path.iterdir())
+
+
 def test_writability_check_leaves_files_as_they_were(tmp_path):
     fresh = tmp_path / "report.json"
     _check_writable(str(fresh))
@@ -469,6 +480,9 @@ def test_help_lists_both_commands_and_every_suite(capsys):
         (["verify", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
         (["verify", "--suite", "adad", "A"], "unrecognized arguments: A"),
         (["eval", "A", "B"], "unrecognized arguments: B"),
+        (["verify", "--suite", "--quiet"], "argument --suite: expected one argument"),
+        (["verify", "--suite", "adad", "--bound", "--", "m=2"], "argument --bound: expected one argument"),
+        (["verify", "--suite", "adad", "--jobs", "--json", "x"], "argument --jobs: expected one argument"),
     ],
 )
 def test_usage_errors_print_usage_and_the_cause(argv, cause, capsys):

@@ -6,10 +6,13 @@ generated token sequences they do too, once the argv is written the way
 the reference needs it, except where one of the deliberate differences
 below applies.  `test_deliberate_differences` pins one argv of each.
 
-- An option takes the next token as its value, whatever it starts with
-  (the reference took only a token that does not start with '-', or a
-  number after --q).  The generated argv join each option to its value by
-  '=' for the reference, so this difference is checked, not excused.
+- --q takes the next token as its value, whatever it starts with, and the
+  other options take one that does not start with '--' (the reference took
+  only a token that does not start with '-', or a number after --q).  The
+  generated argv join each option to its value by '=' for the reference, so
+  this difference is checked, not excused.  Where the next token starts
+  with '--', --suite, --bound, --json and --jobs refuse it, as the
+  reference did.
 - Before the command only -h and --help are read; any other token there is
   a usage error at once.  The reference set unknown options there aside,
   so a later -h still printed the help.
@@ -67,20 +70,31 @@ def parse_new(argv):
 def read_tokens(argv):
     """The tokens after the command as the documented grammar reads them,
     each as (kind, token, value): kind "value" for an option and its value
-    (None at the end of argv), "end" for the '--' that ends the options,
-    "operand" for a token after it and "other" for any other token."""
+    (None at the end of argv, or where an option other than --q meets a next
+    token that starts with '--', which then stays a token of its own), "end"
+    for the '--' that ends the options, "operand" for a token after it and
+    "other" for any other token."""
     options = VALUE_OPTIONS.get(argv[0], ()) if argv else ()
     out = []
-    tokens = iter(argv[1:])
-    for tok in tokens:
+    tokens = argv[1:]
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
         name, eq, value = tok.partition("=")
+        i += 1
         if tok == "--":
             out.append(("end", tok, None))
-            out += [("operand", t, None) for t in tokens]
-        elif name in options:
-            out.append(("value", name, value if eq else next(tokens, None)))
-        else:
+            out += [("operand", t, None) for t in tokens[i:]]
+            break
+        if name not in options:
             out.append(("other", tok, None))
+        elif eq:
+            out.append(("value", name, value))
+        elif i < len(tokens) and (name == "--q" or tokens[i][:2] != "--"):
+            out.append(("value", name, tokens[i]))
+            i += 1
+        else:
+            out.append(("value", name, None))
     return out
 
 

@@ -30,6 +30,9 @@ from qheis.coeff import (
     q_laurent,
 )
 
+from qheis.reports import FAIL, PASS
+from qheis.suites import SuiteConfig, run_suite
+
 from helpers import field_q_laurent, horner_q_binomial, render_poly, render_rational, specialize
 
 
@@ -671,6 +674,17 @@ def test_q_binomial_at_inverse_q_is_the_reversed_gaussian_polynomial():
             got = q_binomial(n, i, RF_Q.inv())
             assert parts(got) == parts(horner_q_binomial(n, i, RF_Q.inv()))
             assert got.num is _gauss_binomial_poly(n, i)
+
+
+def test_qcomb_binomial_inverse_fails_on_a_non_palindromic_gaussian_polynomial(monkeypatch):
+    # at symbolic q the rhs is sum c_j q^-j, not q^-i(n-i) times the lhs's
+    # own polynomial, so a (4 2)_q that is no palindrome fails the check
+    true = _gauss_binomial_poly
+    bad = IntPoly([1, 1, 2, 1, 2])
+    monkeypatch.setattr("qheis.coeff._gauss_binomial_poly", lambda n, i: bad if (n, i) == (4, 2) else true(n, i))
+    status = {e.tuple: e.status for e in run_suite(SuiteConfig("qcomb", SYMBOLIC_Q, {"n": 4})).entries}
+    assert status["binomial-inverse", 4, 2] == FAIL
+    assert all(s == PASS for key, s in status.items() if key[0] == "binomial-inverse" and key[1:] != (4, 2))
 
 
 def test_q_binomial_defined_at_roots_of_unity():

@@ -1,7 +1,10 @@
 """Normal forms, grading, closed-form expansions, the [A,B]-power basis."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
 from operator import eq
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qheis import coeff, heis, lie
+from qheis import coeff, heis, lie, suites
 from qheis.coeff import (
     IntPoly,
     QValue,
@@ -19,7 +22,6 @@ from qheis.coeff import (
     RF_Q,
     RationalFunction,
     add_terms,
-    gauss_polynomial,
     q_int,
 )
 from qheis.heis import (
@@ -54,9 +56,10 @@ from qheis.heis import (
     shift_poly_sides,
     to_lie_power_basis,
 )
+from qheis.reports import FAIL, PASS
 from qheis.words import enumerate_regular
 from free_algebra import FreeElement, bracketing, eval_monomial
-from helpers import free_from_terms
+from helpers import free_from_terms, gauss_route_anbn
 from rewriting import LEFTMOST, RIGHTMOST, _word_normal_form, normal_form
 
 SYM = QValue()
@@ -535,11 +538,11 @@ def test_lincomb_at_rational_q(data):
     assert lincomb(pairs, q) == reference_lincomb(pairs, q)
     if len(pairs) > 1:
         # one pair is c x by ``scale``; two or more are encoded, and so
-        # decoded, unless a coefficient of an x is a polynomial: polynomial
-        # scalars are decoded once per power of q
+        # decoded, unless a scalar or a coefficient of an x is a polynomial,
+        # which takes the loop over Q(q)
         with mock.patch.object(heis, "_decode", wraps=heis._decode) as decode:
             lincomb(pairs, q)
-        assert decode.called != (polynomial == "x")
+        assert decode.called == (not polynomial)
 
 
 def test_lincomb_named_cases():
@@ -558,7 +561,7 @@ def test_lincomb_named_cases():
     assert lincomb(pairs, SYM) == reference_lincomb(pairs, SYM)
     with pytest.raises(QMismatchError):
         lincomb([(RF_ONE, mono(0, 1, QValue.rational(2)))], SYM)
-    # polynomial scalars at rational q are split, and still meet the x's q
+    # polynomial scalars at rational q take the loop, and still meet the x's q
     with pytest.raises(QMismatchError):
         lincomb([(POLY, mono(0, 1, QValue.rational(2)))], QValue.rational(3))
 
@@ -815,11 +818,16 @@ def test_bnan_anbn_match_rewriter():
 
 
 def test_gauss_polynomial_pathway():
-    x = nf_word("BA", SYM)
-    assert gauss_polynomial(0, x, RF_Q) == NormalElement.one(SYM)
-    assert gauss_polynomial(1, x, RF_Q) == x - NormalElement.one(SYM)
     for n in range(7):
         assert anbn_via_gauss(n, SYM) == nf_word("A" * n + "B" * n, SYM)
+
+
+@pytest.mark.parametrize("q", [SYM] + [QValue.parse(v) for v in ("-1/3", "2", "3/2", "-1")], ids=str)
+def test_gauss_route_is_the_hand_summed_gauss_polynomial(q):
+    # one lincomb of q_laurent scalars, each (n i)_(1/q) taken term by term,
+    # against G_n(q[A,B]; 1/q) built by scaling and adding powers one at a time
+    for n in range(13):
+        assert anbn_via_gauss(n, q) == gauss_route_anbn(n, q), n
 
 
 def test_expansions_reject_degenerate_q():
@@ -1037,15 +1045,15 @@ def test_to_lie_power_basis_named_cases():
 
 
 # coefficients (sum n_e q^e)/d of degree <= 3, with gaps in the powers, small
-# denominators and numerators near 2^70 and beyond: at rational q each runs on
-# the constant codec once per power of q
+# denominators and numerators near 2^70 and beyond: at rational q a part or a
+# sum with one of them takes the loop over Q(q)
 SLICED_DENS = [1, 2, 3, 12, 35]
 sliced_coeffs = st.builds(
     lambda nums, d: RationalFunction(IntPoly(nums), IntPoly([d])),
     st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.sampled_from(EDGES)), min_size=1, max_size=4),
     st.sampled_from(SLICED_DENS),
 )
-# a coefficient whose denominator is no constant keeps its part on the loop
+# a coefficient whose denominator is no constant
 OFF_SLICES = RationalFunction(IntPoly([1]), IntPoly([1, 1]))
 
 
@@ -1087,21 +1095,30 @@ def test_polynomial_scalars_at_rational_q_match_the_field_loop(data):
     assert lincomb(pairs, q) == reference_lincomb(pairs, q)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), sliced_coeffs.filter(bool)))
-def test_join_inverts_slices(terms):
-    slices = heis._slices(terms)
-    assert all(len(c.num.coeffs) < 2 and len(c.den.coeffs) == 1 for t in slices.values() for c in t.values())
-    # the same keys, each coefficient in the canonical form of _normalize
-    canonical = lambda t: {key: (c.num.coeffs, c.den.coeffs) for key, c in t.items()}
-    assert canonical(heis._join(slices)) == canonical(terms)
-    assert heis._slices({**terms, (9, 9): OFF_SLICES}) is None
+ROUNDTRIP_SCRIPT = """
+import qheis.coeff as coeff
+from qheis.coeff import QValue
+from qheis.suites import SuiteConfig, run_suite
+
+calls = []
+normalize = coeff._normalize
+coeff._normalize = lambda num, den: calls.append(1) or normalize(num, den)
+rep = run_suite(SuiteConfig("grad-basis-roundtrip", QValue.parse("-1/3"), {"count": 60, "seed": 1}))
+print(rep.summary["pass"], len(calls))
+"""
 
 
 def test_polynomial_roundtrip_at_rational_q_stays_on_ints():
-    # every part of x splits into constant slices, so neither basis change
-    # reaches the generic _normalize; in grading 0 the slice of q^2 alone has
-    # the top coordinate k = 4, which the join must still put first
+    # the suite checks x = sum q^e x_e one slice x_e at a time, each of
+    # constant coefficients on the integer kernels, so a cold run (a fresh
+    # process, no cached element) reaches the generic _normalize nowhere
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heis.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", ROUNDTRIP_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["60", "0"]
+    # the whole x takes the loop over Q(q): the same coordinates in the same
+    # order as the reference; in grading 0 the q^2 part alone has the top
+    # coordinate k = 4
     q = QValue.parse("-1/3")
     x = NormalElement(q, {
         (3, 1): RationalFunction(IntPoly([1, -2, 0, 5]), IntPoly([12])),
@@ -1110,12 +1127,26 @@ def test_polynomial_roundtrip_at_rational_q_stays_on_ints():
         (4, 4): RationalFunction(IntPoly([0, 0, 7])),
         (1, 6): RationalFunction(IntPoly([0, 0, 0, 1]), IntPoly([2])),
     })
-    with mock.patch.object(coeff, "_normalize", wraps=coeff._normalize) as normalize:
-        coords = to_lie_power_basis(x)
-        back = from_lie_power_basis(coords)
-    assert not normalize.called
+    coords = to_lie_power_basis(x)
     assert list(coords.coords.items()) == list(reference_to_lie_power_basis(x).coords.items())
-    assert back == x
+    assert from_lie_power_basis(coords) == x
+
+
+def test_roundtrip_checks_every_power_of_q():
+    # a basis change that loses every coordinate of grading 1 (B [A,B]^k):
+    # only the q^1 slice of x has grading 1, so the entry fails only if that
+    # slice is checked too
+    def lossy(y):
+        coords = to_lie_power_basis(y)
+        return LiePowerCoords(y.q, {dk: c for dk, c in coords.coords.items() if dk[0] != 1})
+
+    for q in (QValue.parse("-1/3"), QValue.rational(2)):
+        x = NormalElement(q, {(0, 0): rf_int(3), (1, 0): RationalFunction(IntPoly([0, 5]))})
+        assert suites._roundtrip(("roundtrip", 0), x).status == PASS
+        with mock.patch.object(suites, "to_lie_power_basis", lossy):
+            assert suites._roundtrip(("roundtrip", 0), x).status == FAIL
+            # the q^0 slice alone still passes: a check of it alone misses the fault
+            assert suites._roundtrip(("roundtrip", 0), grade(x)[0]).status == PASS
 
 
 def assert_packs_as_fresh(x):

@@ -420,8 +420,10 @@ def test_closed_form_suites_make_no_normalize_calls():
     ``_over_q_q1``; what is left is reorder's 16 sums with the scaled terms:
     0 and 16 calls (470 and 48 when the scaling went through ``_normalize``,
     2,226 and 262 when shift scaled before multiplying and reorder built q^-n
-    and q^-1 {n}_(1/q) by chains over Q(q)).  A fresh process, so that no
-    element cached by another test hides a call."""
+    and q^-1 {n}_(1/q) by chains over Q(q)).  qcomb takes (n i)_q at 1/q
+    term by term and bnan-anbn sums the Gauss route in one ``lincomb``: 0
+    calls each (245 and 442 over Q(q)).  A fresh process, so that no element
+    cached by another test hides a call."""
     script = textwrap.dedent("""
         import qheis.coeff as coeff
         from qheis.coeff import SYMBOLIC_Q
@@ -430,7 +432,7 @@ def test_closed_form_suites_make_no_normalize_calls():
         calls = []
         normalize = coeff._normalize
         coeff._normalize = lambda num, den: calls.append(1) or normalize(num, den)
-        for suite in ("table1", "bigcomrel", "shift", "reorder"):
+        for suite in ("table1", "bigcomrel", "shift", "reorder", "qcomb", "bnan-anbn"):
             entries = len(run_suite(SuiteConfig(suite, SYMBOLIC_Q)).entries)
             print(suite, entries > 0, len(calls))
             calls.clear()
@@ -439,7 +441,7 @@ def test_closed_form_suites_make_no_normalize_calls():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["table1", "True", "0", "bigcomrel", "True", "0"] + [
-        "shift", "True", "0", "reorder", "True", "16"
+        "shift", "True", "0", "reorder", "True", "16", "qcomb", "True", "0", "bnan-anbn", "True", "0"
     ]
 
 
