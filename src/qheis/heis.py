@@ -7,27 +7,26 @@ moves one B at a time through A^j by A^j B = q^j B A^j + {j}_q A^(j-1).  The
 PBW product is built on those expansions, and a word (`nf_word`) is the
 product of its B^m A^n runs.  All coefficients are exact elements of Q(q).
 
-A PBW product of four or more term pairs, a `commutator` xy - yx of as many,
-and `lincomb` (a sum of c_i x_i) run on ints when every coefficient fits the
-codec of q; anything else takes the loop over Q(q).  The product and the
-commutator share one kernel, `_packed_product`, which sums both products of
-a commutator before it decodes a key.  One memo turns coefficients into
-ints, for elements and for the A^n B^k and [A,B]^k tables alike: an element
-keeps its sizes and its packs (`_codec`), one term map per width W
-(`_packed_terms`), so a cached element is packed once per width for the
-whole process.  At symbolic q each coefficient must be in Z[q] and is packed
-into its value at q = 2^W (Kronecker substitution, W = K from a proven
-l1-norm bound).  At rational q each must be a constant n/d and becomes
-n W/d, W a multiple of the lcm denominator D, and `lincomb` also needs two
-pairs or more.  A polynomial coefficient at rational q takes the loop over
-Q(q); the one suite that draws them, grad-basis-roundtrip, splits them into
-constants itself.  One encoder, `_scalars`, brings the scalars c of
-`lincomb` over one denominator, and one decoder, `_decode`, turns every kernel's ints back into
-coefficients, `lie.zero_basis_coords` included: over q^a (q-1)^b by
-`coeff._over_q_q1` (not the generic `_normalize`), or over an int D by one
-gcd.  Packed values go to and from their balanced base-2^K digits (`_pack`,
-`_unpack`) as native signed ints in one C-level pass at K = 16, 32 and 64,
-else by shift loops below 4 kbit and one bytes pass above.
+One kernel, `_product`, makes the PBW product and the commutator xy - yx,
+which it sums as one term map before it decodes a key.  From four term pairs
+up it runs on ints when every coefficient fits the codec of q, as `lincomb`
+(a sum of c_i x_i) does; anything else is summed over Q(q).  One memo turns
+coefficients into ints, for elements and for the A^n B^k and [A,B]^k tables
+alike: an element keeps its sizes and its packs (`_codec`), one term map per
+width W (`_packed_terms`), so a cached element is packed once per width for
+the whole process.  At symbolic q each coefficient must be in Z[q] and is
+packed into its value at q = 2^W (Kronecker substitution, W = K from a
+proven l1-norm bound).  At rational q each must be a constant n/d and
+becomes n W/d, W a multiple of the lcm denominator D, and `lincomb` also
+needs two pairs or more.  A polynomial coefficient at rational q takes the
+loop over Q(q); the one suite that draws them, grad-basis-roundtrip, splits
+them into constants itself.  One encoder, `_scalars`, brings the scalars c
+of `lincomb` over one denominator, and one decoder, `_decode`, turns every
+kernel's ints back into coefficients, `lie.zero_basis_coords` included:
+over q^a (q-1)^b by `coeff._over_q_q1` (not the generic `_normalize`), or
+over an int D by one gcd.  Packed values go to and from their balanced
+base-2^K digits (`_pack`, `_unpack`) in one C-level pass: as native signed
+ints at K = 16, 32 and 64, as bytes at every other K.
 
 `to_lie_power_basis` back-substitutes each grading part in one pivot loop
 on the same codecs.  At symbolic q the part is first multiplied by
@@ -153,16 +152,7 @@ class NormalElement:
     # -- multiplication -------------------------------------------------
 
     def __mul__(self, other: "NormalElement") -> "NormalElement":
-        q = _require_q(self, other)
-        # with all coefficients in Z[q] at symbolic q, or constant at rational
-        # q (else None), multiply ints; below four term pairs the loop over
-        # Q(q) is faster
-        if len(self.terms) * len(other.terms) > 3:
-            out = _packed_product(self, other)
-            if out is not None:
-                return NormalElement(q, out, _raw=True)
-        fp = {(n, m): _an_bk_expansion(n, m, q).terms for n, m in _reorderings(self.terms, other.terms)}
-        return NormalElement(q, add_terms({}, _product_terms(self.terms, other.terms, fp)), _raw=True)
+        return _product(self, other)
 
     def __pow__(self, n: int) -> "NormalElement":
         if n < 0:
@@ -340,13 +330,14 @@ def _packed_terms(x: NormalElement, W: int):
     return packs[W]
 
 
-def _packed_product(x: NormalElement, y: NormalElement, commute=False):
-    """``_product_terms`` of x and y on ints, or with commute those of x y and
-    of -(y x): x, y and the expansions fp of both products are read packed
-    from ``_codec`` (packed once per element and width), and each key of the
-    sum is decoded once; None if a coefficient does not fit the codec of q.
-    A packed sum is 0 exactly when the sum it encodes is, so a key is dropped
-    where the sum over Q(q) drops it.
+def _product(x: NormalElement, y: NormalElement, commute=False) -> NormalElement:
+    """x y, or with commute [x, y] = x y - y x, as one sum of the
+    ``_product_terms`` of x y and of -(y x).  From four term pairs up, when
+    every coefficient fits the codec of q, x, y and the expansions fp are
+    read packed (once per element and width, see ``_codec``) and each key of
+    the sum is decoded once; else their terms over Q(q) are summed as they
+    are.  A packed sum is 0 exactly when the sum it encodes is, so a key is
+    dropped where the sum over Q(q) drops it.
 
     At symbolic q every coefficient must be in Z[q].  Each is packed at
     q = 2^K (a ring homomorphism to Z) and unpacked once from balanced
@@ -358,22 +349,24 @@ def _packed_product(x: NormalElement, y: NormalElement, commute=False):
     expansions over the lcm W of theirs, and each sum, of x y and of y x
     alike, is an integer over Dx Dy W.  Either way ``_decode`` gives each key
     of the sum back, over 1 or over Dx Dy W."""
-    q, cx, cy = x.q, _codec(x), _codec(y)
-    if not (cx and cy):
-        return None
-    products = ((x.terms, y.terms), (y.terms, x.terms)) if commute else ((x.terms, y.terms),)
+    q, xt, yt, one, den = _require_q(x, y), x.terms, y.terms, None, None
+    products = ((xt, yt), (yt, xt)) if commute else ((xt, yt),)
     tables = {nm: _an_bk_expansion(*nm, q) for a, b in products for nm in _reorderings(a, b)}
-    if q.is_symbolic:
-        W = K = _width(len(products) * max((_codec(f)[1] for f in tables.values()), default=1) * cx[0] * cy[0])
-        xp, yp, one, den = _packed_terms(x, K), _packed_terms(y, K), None, (0, 0)
+    cx, cy = (_codec(x), _codec(y)) if len(xt) * len(yt) > 3 else (False, False)
+    if cx and cy:
+        if q.is_symbolic:
+            W = K = _width(len(products) * max((_codec(f)[1] for f in tables.values()), default=1) * cx[0] * cy[0])
+            xt, yt, den = _packed_terms(x, K), _packed_terms(y, K), (0, 0)
+        else:
+            W, K = math.lcm(*(_codec(f)[0] for f in tables.values())), None
+            xt, yt, one, den = _packed_terms(x, cx[0]), _packed_terms(y, cy[0]), W, cx[0] * cy[0] * W
+        fp = {nm: _packed_terms(f, W) for nm, f in tables.items()}
     else:
-        W, K = math.lcm(*(_codec(f)[0] for f in tables.values())), None
-        xp, yp, one, den = _packed_terms(x, cx[0]), _packed_terms(y, cy[0]), W, cx[0] * cy[0] * W
-    fp = {nm: _packed_terms(f, W) for nm, f in tables.items()}
-    out = add_terms({}, _product_terms(xp, yp, fp, one))
+        fp = {nm: f.terms for nm, f in tables.items()}
+    out = add_terms({}, _product_terms(xt, yt, fp, one))
     if commute:
-        add_terms(out, _product_terms({key: -v for key, v in yp.items()}, xp, fp, one))
-    return _decode(out, K, den)
+        add_terms(out, _product_terms({key: -v for key, v in yt.items()}, xt, fp, one))
+    return NormalElement(q, out if den is None else _decode(out, K, den), _raw=True)
 
 
 def _width(bound: int) -> int:
@@ -381,10 +374,6 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 16) // 16 * 16
 
 
-# From this many bits (digits times K) up, ``_pack`` and ``_unpack`` make one
-# bytes pass for a K that is no native width; below it the shift loops are
-# faster (in timeit from about 2-3 kbit for K = 48, 5-10 kbit for K = 352).
-_BYTES_FROM_BITS = 4096
 # a digit of K in {16, 32, 64} bits is one native signed int
 _CASTS = {8 * struct.calcsize(c): c for c in "hiq"}
 # native byte order gives the digits lowest first on a little-endian machine
@@ -402,46 +391,37 @@ def _halves(K: int, n: int) -> int:
 
 
 def _pack(cs, K: int) -> int:
-    """The polynomial with coefficients cs (lowest first) at q = 2^K: at a
-    native K their two's complements xor ``_halves`` are the value plus
-    ``_halves``; a c that is no balanced digit takes the shift loop."""
+    """The polynomial with coefficients cs (lowest first) at q = 2^K, in one
+    C-level pass: at a native K their two's complements xor ``_halves`` are
+    the value plus ``_halves``, at any other K the digits plus 2^(K-1) are its
+    bytes; a c that is no balanced digit takes the shift sum."""
     code = _CASTS.get(K)
     try:
         if code:
             h = _halves(K, len(cs))
             return (int.from_bytes(array(code, cs[::_LOWEST_FIRST]).tobytes(), sys.byteorder) ^ h) - h
-        if len(cs) * K >= _BYTES_FROM_BITS:
-            half = 1 << (K - 1)
-            raw = b"".join((c + half).to_bytes(K // 8, "little") for c in cs)
-            return int.from_bytes(raw, "little") - _halves(K, len(cs))
+        half = 1 << (K - 1)
+        raw = b"".join((c + half).to_bytes(K // 8, "little") for c in cs)
+        return int.from_bytes(raw, "little") - _halves(K, len(cs))
     except OverflowError:  # a c that is no balanced digit
-        pass
-    return sum(c << K * i for i, c in enumerate(cs))
+        return sum(c << K * i for i, c in enumerate(cs))
 
 
 def _unpack(v: int, K: int) -> IntPoly:
     """The polynomial packed as v at q = 2^K, from balanced base-2^K digits
     (each in [-2^(K-1), 2^(K-1))): v plus ``_halves`` has the unsigned
     digits, and at a native K, xored with it, their two's complements for one
-    signed memoryview cast; other K read byte slices or shift."""
+    signed memoryview cast; any other K reads them as byte slices."""
     # |v| < 2^(K m), m = v.bit_length() // K + 1, takes at most m + 1 digits
     n = v.bit_length() // K + 2
+    h = _halves(K, n)
     code = _CASTS.get(K)
     if code:
-        h = _halves(K, n)
         raw = ((v + h) ^ h).to_bytes(n * K // 8, sys.byteorder)
         return IntPoly(memoryview(raw).cast(code)[::_LOWEST_FIRST].tolist())
-    half = 1 << (K - 1)
-    if n * K > _BYTES_FROM_BITS:
-        B = K // 8
-        raw = (v + _halves(K, n)).to_bytes(n * B, "little")
-        return IntPoly([int.from_bytes(raw[i : i + B], "little") - half for i in range(0, n * B, B)])
-    mask = (1 << K) - 1
-    cs = []
-    while v:
-        cs.append(((v + half) & mask) - half)
-        v = (v - cs[-1]) >> K
-    return IntPoly(cs)
+    B, half = K // 8, 1 << (K - 1)
+    raw = (v + h).to_bytes(n * B, "little")
+    return IntPoly([int.from_bytes(raw[i : i + B], "little") - half for i in range(0, n * B, B)])
 
 
 def lincomb(pairs, q: QValue) -> NormalElement:
@@ -451,11 +431,13 @@ def lincomb(pairs, q: QValue) -> NormalElement:
 
     Every coefficient of every x must fit ``_codec``, and ``_scalars`` must
     bring the c to nums over one den.  At symbolic q everything is packed at
-    q = 2^K, K from the l1 bound sum |num|_1 max |f|_1, as in
-    ``_packed_product``.  At rational q there must be two pairs or more
-    (``scale`` is as fast for one, and an x read here keeps its packs): each
-    x is read over its own Dx, the nums are brought to the lcm L of the Dx,
-    and every sum is an integer over den L."""
+    q = 2^K, K from the l1 bound sum |num|_1 max |f|_1, as in ``_product``;
+    with every c = 0 that bound is 0 and K = 16, however large the
+    coefficients of the x (``_pack`` takes them by its shift sum).  At
+    rational q there must be two pairs or more (``scale`` is as fast for
+    one, and an x read here keeps its packs): each x is read over its own
+    Dx, the nums are brought to the lcm L of the Dx, and every sum is an
+    integer over den L."""
     pairs = list(pairs)
     fits = all(x.q == q for _, x in pairs) and (q.is_symbolic or len(pairs) > 1)
     sc = _scalars([c for c, _ in pairs], q) if fits else None
@@ -487,15 +469,9 @@ def nf_word(w: str, q: QValue) -> NormalElement:
 
 
 def commutator(x: NormalElement, y: NormalElement) -> NormalElement:
-    """[x, y] = xy - yx in H(q): from four term pairs up, both products are
-    summed in one ``_packed_product`` pass when the coefficients fit its
-    codec; otherwise as two products over Q(q)."""
-    q = _require_q(x, y)
-    if len(x.terms) * len(y.terms) > 3:
-        out = _packed_product(x, y, commute=True)
-        if out is not None:
-            return NormalElement(q, out, _raw=True)
-    return x * y - y * x
+    """[x, y] = xy - yx in H(q): both products summed into one term map by
+    ``_product``, on ints when its codec takes them, else over Q(q)."""
+    return _product(x, y, commute=True)
 
 
 @lru_cache(maxsize=None)

@@ -364,23 +364,13 @@ class CiCoefficient(Value):
 
 
 def bigcomrel_rhs(k: int, l: int, m: int, n: int, q: QValue) -> NormalElement:
-    """Printed right side of [Abar(k,l), Bbar(m,n)], by the l vs n case."""
+    """Printed right side of [Abar(k,l), Bbar(m,n)]: c_i(k,l,m,n) on the
+    vector of key (n - l, k + m + 2 + i), which is Abar(i+k+m+1, l-n) for
+    l > n, Gbar(i+k+m) for l = n and, with c_i(m,n,k,l), Bbar(i+k+m+1, n-l)
+    for l < n."""
     _require_generic(q, "bigcomrel_rhs")
-    if l > n:
-        pairs = [
-            (CiCoefficient(k, l, m, n, i).value(q), AlphaBar(i + k + m + 1, l - n))
-            for i in range(n + 1)
-        ]
-    elif l < n:
-        pairs = [
-            (CiCoefficient(m, n, k, l, i).value(q), BetaBar(i + k + m + 1, n - l))
-            for i in range(l + 1)
-        ]
-    else:
-        pairs = [
-            (CiCoefficient(k, l, m, l, i).value(q), GammaBar(i + k + m))
-            for i in range(l + 1)
-        ]
+    args = (k, l, m, n) if l >= n else (m, n, k, l)
+    pairs = [(CiCoefficient(*args, i).value(q), gen_basis_key(n - l, k + m + 2 + i)) for i in range(min(l, n) + 1)]
     return combo_expand(pairs, q)
 
 

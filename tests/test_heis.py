@@ -7,7 +7,7 @@ import subprocess
 import sys
 from array import array
 from fractions import Fraction
-from operator import eq
+from operator import eq, mul
 from unittest import mock
 
 import pytest
@@ -20,6 +20,7 @@ from qheis.coeff import (
     QValue,
     RF_ONE,
     RF_Q,
+    RF_ZERO,
     RationalFunction,
     add_terms,
     q_int,
@@ -29,14 +30,12 @@ from qheis.heis import (
     LiePowerCoords,
     NormalElement,
     QMismatchError,
-    _BYTES_FROM_BITS,
     _an_bk_expansion,
     _back_substitute,
     _basis_codec,
     _exact_quotient,
     _field_quotient,
     _pack,
-    _packed_product,
     _rescaling_quotient,
     _unpack,
     adad_sides,
@@ -59,7 +58,7 @@ from qheis.heis import (
 from qheis.reports import FAIL, PASS
 from qheis.words import enumerate_regular
 from free_algebra import FreeElement, bracketing, eval_monomial
-from helpers import free_from_terms, gauss_route_anbn
+from helpers import free_from_terms, gauss_route_anbn, specialize
 from rewriting import LEFTMOST, RIGHTMOST, _word_normal_form, normal_form
 
 SYM = QValue()
@@ -278,12 +277,20 @@ def test_an_bk_expansion_matches_the_absorb_loop():
                 assert tuple(_an_bk_expansion(n, k, q).terms.items()) == absorb_an_bk(n, k, q), (q, n, k)
 
 
+def decoded(f, *args):
+    """f(*args), and whether it decoded packed ints: ``_decode`` tells the
+    packed path of a kernel from its loop over Q(q)."""
+    with mock.patch.object(heis, "_decode", wraps=heis._decode) as decode:
+        return f(*args), decode.called
+
+
 def assert_same_product(x, y):
-    want = list(schoolbook_product(x, y).terms.items())
     # same terms in the same order, so every later loop over them agrees too;
-    # small products skip packing, so the packed product is also called itself
-    assert list((x * y).terms.items()) == want, (x, y)
-    assert list(_packed_product(x, y).items()) == want, (x, y)
+    # every coefficient here fits the codec, so from four term pairs up the
+    # product runs packed, below them over Q(q)
+    got, packed = decoded(mul, x, y)
+    assert list(got.terms.items()) == list(schoolbook_product(x, y).terms.items()), (x, y)
+    assert packed == (len(x.terms) * len(y.terms) > 3), (x, y)
 
 
 # integers next to each power of two, where a packing too narrow by one bit
@@ -323,13 +330,21 @@ def test_packed_product_named_cases():
     assert keys.index((0, 0)) > max(keys.index((2, 0)), keys.index((0, 2)))
     assert_same_product(x, y)
     # coefficients at the l1 bound: c A * d B = cd q BA + cd I, with
-    # |x|_1 |y|_1 max|f|_1 = |cd|
+    # |x|_1 |y|_1 max|f|_1 = |cd|, and packed: (cA + c)(dB + d) =
+    # cd q BA + cd A + cd B + 2cd, with cd next to each power of two
     for c in (1, -1, 3, -3):
         for d in EDGES:
             assert_same_product(mono(0, 1, c=rf_int(c)), mono(1, 0, c=rf_int(d)))
             assert_same_product(mono(0, 0, c=rf_int(c)), mono(2, 0, c=rf_int(d)))
+            x, y = mono(0, 1, c=rf_int(c)) + mono(0, 0, c=rf_int(c)), mono(1, 0, c=rf_int(d)) + mono(0, 0, c=rf_int(d))
+            assert_same_product(x, y)
     # large expansion indices
     assert_same_product(mono(0, 14) - mono(2, 3), mono(13, 1, c=rf_int(-(2**40))) + mono(0, 0))
+    # a product is one kernel call, packed or not
+    for y in (x, mono(0, 0, c=RationalFunction(IntPoly([1]), IntPoly([0, 1])))):
+        with mock.patch.object(heis, "_product", wraps=heis._product) as product:
+            x * y
+        assert product.call_args_list == [mock.call(x, y)]
 
 
 PACK_WIDTHS = (16, 32, 48, 64, 352)
@@ -347,15 +362,12 @@ def shift_unpack(v, K):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_unpack_inverts_pack(data):
-    # lengths 0, 1, 2, 300 and on both sides of the bytes-pass cut-off for
-    # the widths that are no native integer (_BYTES_FROM_BITS / K digits:
-    # 86 at K = 48, 12 at K = 352), digits at the edges of the balanced range
-    # [-2^(K-1), 2^(K-1)); 16, 32 and 64 convert by signed casts at every
-    # length, 48 and 352 by byte slices or the shift loops
+    # lengths 0, 1, 2, 300 and between, digits at the edges of the balanced
+    # range [-2^(K-1), 2^(K-1)); 16, 32 and 64 convert by signed casts, 48
+    # and 352 by one bytes pass, at every length
     K = data.draw(st.sampled_from(PACK_WIDTHS))
     top = 2 ** (K - 1) - 1
-    cut = -(-_BYTES_FROM_BITS // K)
-    n = data.draw(st.one_of(st.sampled_from([0, 1, 2, 300]), st.integers(0, 300), st.integers(cut - 3, cut + 3)))
+    n = data.draw(st.one_of(st.sampled_from([0, 1, 2, 300]), st.integers(0, 300)))
     rng = data.draw(st.randoms(use_true_random=False))
     digits = [top, -top - 1, 0, 1, -1, rng.randrange(-top, top)]
     cs = [rng.choice(digits) for _ in range(n)]
@@ -380,16 +392,17 @@ def test_pack_and_unpack_at_the_edge_digits():
 
 def test_pack_of_digits_outside_the_balanced_range():
     # 2^(K-1) and -2^(K-1) - 1 are no balanced digits: a native width's
-    # array raises OverflowError and _pack falls back to the shift sum, a
-    # wider one's bytes pass likewise; either way _pack evaluates at q = 2^K,
-    # and _unpack reads the value back in balanced digits
+    # array raises OverflowError and _pack falls back to the shift sum, any
+    # other width's bytes pass likewise; either way _pack evaluates at
+    # q = 2^K, and _unpack reads the value back in balanced digits
     for K in PACK_WIDTHS:
-        if K in heis._CASTS:
-            for c in (2 ** (K - 1), -(2 ** (K - 1)) - 1):
-                with pytest.raises(OverflowError):
+        for c in (2 ** (K - 1), -(2 ** (K - 1)) - 1):
+            with pytest.raises(OverflowError):
+                if K in heis._CASTS:
                     array(heis._CASTS[K], [c])
-        cut = -(-_BYTES_FROM_BITS // K)
-        for n in sorted({1, 2, cut - 1, cut, cut + 1, 200, 300}):
+                else:
+                    (c + 2 ** (K - 1)).to_bytes(K // 8, "little")
+        for n in (1, 2, 200, 300):
             cs = [2 ** (K - 1)] * n
             v = _pack(cs, K)
             assert v == sum(c << K * i for i, c in enumerate(cs))
@@ -405,8 +418,9 @@ def test_non_unit_denominator_takes_the_schoolbook_path():
     x = mono(0, 2, c=RationalFunction(IntPoly([1]), IntPoly([-1, 1]))) + mono(0, 1)
     y = mono(3, 0) + mono(1, 1) + mono(0, 0, c=rf_int(5))
     for a, b in ((x, y), (y, x)):
-        assert _packed_product(a, b) is None
-        assert list((a * b).terms.items()) == list(schoolbook_product(a, b).terms.items())
+        got, packed = decoded(mul, a, b)
+        assert not packed
+        assert list(got.terms.items()) == list(schoolbook_product(a, b).terms.items())
 
 
 # rational q of every kind: generic, with a fractional q, and the degenerate
@@ -438,30 +452,27 @@ def test_constant_q_product_matches_schoolbook(data):
     q = data.draw(st.sampled_from(RATIONAL_QS))
     polynomial = data.draw(st.booleans())
     x, y = data.draw(const_elements(q, polynomial)), data.draw(const_elements(q))
-    want = list(schoolbook_product(x, y).terms.items())
-    assert list((x * y).terms.items()) == want, (x, y)
-    packed = _packed_product(x, y)
-    if polynomial and x.terms:
-        assert packed is None
-    else:
-        assert list(packed.items()) == want, (x, y)
+    got, packed = decoded(mul, x, y)
+    assert list(got.terms.items()) == list(schoolbook_product(x, y).terms.items()), (x, y)
+    assert packed == (len(x.terms) * len(y.terms) > 3 and not polynomial), (x, y)
 
 
 def test_constant_q_product_named_cases():
     for q in RATIONAL_QS:
         zero = NormalElement.zero(q)
         x = mono(3, 5, q, RationalFunction.from_fraction(Fraction(-7, 6)))
-        assert _packed_product(x, zero) == {} == _packed_product(zero, x)
+        assert (x * zero).is_zero() and (zero * x).is_zero()
         # (A/3 + 1/2)(3B - 2) = q BA + 3B/2 - 2A/3: the I of AB cancels to 0
         a1 = mono(0, 1, q, RationalFunction.from_fraction(Fraction(1, 3))) + mono(0, 0, q, RationalFunction.from_fraction(Fraction(1, 2)))
         b1 = mono(1, 0, q, rf_int(3)) - mono(0, 0, q, rf_int(2))
-        got = _packed_product(a1, b1)
-        assert (0, 0) not in got
-        assert list(got.items()) == list(schoolbook_product(a1, b1).terms.items())
+        got, packed = decoded(mul, a1, b1)
+        assert packed and (0, 0) not in got.terms
+        assert list(got.terms.items()) == list(schoolbook_product(a1, b1).terms.items())
         # a polynomial coefficient sends the whole product to the loop
         y = a1 + mono(2, 2, q, POLY)
-        assert _packed_product(y, b1) is None
-        assert list((y * b1).terms.items()) == list(schoolbook_product(y, b1).terms.items())
+        got, packed = decoded(mul, y, b1)
+        assert not packed
+        assert list(got.terms.items()) == list(schoolbook_product(y, b1).terms.items())
 
 
 def test_scale_by_a_negative_power_of_q_cancels_only_q():
@@ -540,9 +551,7 @@ def test_lincomb_at_rational_q(data):
         # one pair is c x by ``scale``; two or more are encoded, and so
         # decoded, unless a scalar or a coefficient of an x is a polynomial,
         # which takes the loop over Q(q)
-        with mock.patch.object(heis, "_decode", wraps=heis._decode) as decode:
-            lincomb(pairs, q)
-        assert decode.called == (not polynomial)
+        assert decoded(lincomb, pairs, q)[1] == (not polynomial)
 
 
 def test_lincomb_named_cases():
@@ -602,18 +611,11 @@ def test_decode_of_constants_is_the_reduced_fraction():
 
 
 def kernel_calls(x, y):
-    """commutator(x, y), and for each fused ``_packed_product`` call it made
-    whether that call took the ints (and not the Q(q) fallback)."""
-    calls = []
-
-    def spy(x, y, commute=False):
-        out = _packed_product(x, y, commute)
-        if commute:
-            calls.append(out is not None)
-        return out
-
-    with mock.patch.object(heis, "_packed_product", spy):
-        return commutator(x, y), calls
+    """commutator(x, y), the ``_product`` calls it made, and whether it
+    decoded packed ints (and did not sum over Q(q))."""
+    with mock.patch.object(heis, "_product", wraps=heis._product) as product:
+        got, packed = decoded(commutator, x, y)
+    return got, product.call_args_list, packed
 
 
 @st.composite
@@ -642,40 +644,36 @@ def commutator_operands(draw):
 @given(commutator_operands())
 def test_commutator_matches_the_two_products(operands):
     x, y, fits = operands
-    want = (x * y - y * x).terms
-    got, calls = kernel_calls(x, y)
+    want = (schoolbook_product(x, y) - schoolbook_product(y, x)).terms
+    got, calls, packed = kernel_calls(x, y)
     assert got.terms == want, (x, y)
     assert all(not c.is_zero() for c in got.terms.values())
-    # four term pairs or more try the kernel, which takes every input that
-    # fits the codec of q
-    assert calls == ([fits] if len(x.terms) * len(y.terms) > 3 else [])
-    # below that threshold the kernel is exact as well
-    packed = _packed_product(x, y, commute=True)
-    assert packed == (want if fits else None), (x, y)
+    # one kernel call sums both products; four term pairs or more run packed
+    # when every coefficient fits the codec of q
+    assert calls == [mock.call(x, y, commute=True)]
+    assert packed == (fits and len(x.terms) * len(y.terms) > 3), (x, y)
 
 
 def test_commutator_named_cases():
     for q in [SYM] + RATIONAL_QS:
         a, b = mono(0, 1, q), mono(1, 0, q)
         assert commutator(a, b) == comm_power(1, q)
-        assert _packed_product(a, b, commute=True) == comm_power(1, q).terms
         for m in range(5):
             for n in range(5):
                 for lhs, rhs in adad_sides(m, n, q):
                     assert lhs == rhs, (q, m, n)
-                # the adjoint operands have under four term pairs: run the
-                # kernel on the first identity as well
-                (lhs, rhs), _ = adad_sides(m, n, q)
-                got = _packed_product(bracketed_word("BA", q), mono(m, n, q), commute=True)
-                assert got == rhs.terms, (q, m, n)
-    # [cA, dB] = cd (q - 1) BA + cd I with cd next to each power of two,
-    # where a K too narrow by one bit would read a digit wrong
+                # the same identity from four term pairs up (two at
+                # m = n = 0), packed: the I added to B^m A^n commutes
+                lhs = commutator(bracketed_word("BA", q), mono(m, n, q) + mono(0, 0, q))
+                assert lhs == adad_sides(m, n, q)[0][1], (q, m, n)
+    # [cA + c, dB + d] = cd (q - 1) BA + cd I with cd next to each power of
+    # two, where a K too narrow by one bit would read a digit wrong
     for c in (1, -1, 3):
         for d in EDGES:
-            x, y = mono(0, 1, c=rf_int(c)), mono(1, 0, c=rf_int(d))
-            want = (x * y - y * x).terms
-            assert _packed_product(x, y, commute=True) == want
-            assert _packed_product(y, x, commute=True) == (y * x - x * y).terms
+            x, y = mono(0, 1, c=rf_int(c)) + mono(0, 0, c=rf_int(c)), mono(1, 0, c=rf_int(d)) + mono(0, 0, c=rf_int(d))
+            for a, b in ((x, y), (y, x)):
+                got, packed = decoded(commutator, a, b)
+                assert packed and got.terms == (schoolbook_product(a, b) - schoolbook_product(b, a)).terms
     with pytest.raises(QMismatchError):
         commutator(mono(0, 1), mono(1, 0, QValue.rational(2)))
 
@@ -1079,9 +1077,15 @@ def test_polynomial_coefficients_match_the_field_loop(data):
     assert from_lie_power_basis(coords) == x
 
 
+def specialized(x, t):
+    """x with the formal q of each coefficient evaluated at the integer t:
+    a ring map, apart from the q of H(q), that leaves constants."""
+    return NormalElement(x.q, {key: RationalFunction.from_fraction(specialize(c, t)) for key, c in x.terms.items()})
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_polynomial_scalars_at_rational_q_match_the_field_loop(data):
+def test_polynomial_scalars_at_rational_q_match_integer_specializations(data):
     q = data.draw(st.sampled_from(RATIONAL_QS))
     pairs = []
     for _ in range(data.draw(st.integers(0, 4))):
@@ -1092,7 +1096,24 @@ def test_polynomial_scalars_at_rational_q_match_the_field_loop(data):
     pairs = data.draw(st.permutations(pairs))
     if pairs and data.draw(st.integers(0, 3)) == 0:
         pairs[0] = (OFF_SLICES, pairs[0][1])
-    assert lincomb(pairs, q) == reference_lincomb(pairs, q)
+    got = lincomb(pairs, q)
+    # evaluating the formal q at t commutes with the sum of c x, and at two
+    # integers (neither a root of q + 1) the specialized pairs are constants,
+    # which the integer kernel sums from two pairs up
+    for t in (2, -3):
+        spec = [(specialize(c, t), specialized(x, t)) for c, x in pairs]
+        want = lincomb([(RationalFunction.from_fraction(c), x) for c, x in spec], q)
+        assert specialized(got, t) == want, (t, pairs)
+
+
+def test_lincomb_of_zero_scalars_packs_any_coefficient():
+    # every scalar 0 makes the l1 bound 0 and K = 16, so the x are packed at
+    # K = 16 whatever their coefficients: 10^6 is no balanced digit there,
+    # and _pack's shift sum must still evaluate it at q = 2^16
+    x = mono(2, 1, c=rf_int(10**6)) + mono(0, 0, c=RationalFunction(IntPoly([-(10**6), 3])))
+    got, packed = decoded(lincomb, [(RF_ZERO, x), (RF_ZERO, x)], SYM)
+    assert packed and got.is_zero()
+    assert heis._packed_terms(x, 16) == {(2, 1): 10**6, (0, 0): 3 * 2**16 - 10**6}
 
 
 ROUNDTRIP_SCRIPT = """
