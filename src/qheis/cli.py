@@ -40,6 +40,8 @@ def _parse_bounds(pairs: List[str]) -> Dict[str, int]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ValueError("--bound expects name=value, got %r" % item)
+        if name in out:
+            raise ValueError("bound %s given twice" % name)
         try:
             out[name] = int(value)
         except ValueError as exc:
@@ -55,7 +57,7 @@ def _check_writable(path: str) -> None:
         with open(path, "a"):
             pass
     except OSError as exc:
-        raise ValueError("cannot write the JSON report to %s: %s" % (path, exc.strerror)) from exc
+        raise ValueError("cannot write the JSON report to %r: %s" % (path, exc.strerror)) from exc
     if not existed:
         os.remove(path)
 
@@ -120,13 +122,13 @@ def _cmd_verify(args) -> int:
         q = QValue.parse(args.q)
         bounds = _parse_bounds(args.bound)
         cfg = SuiteConfig(suite=args.suite, q=q, bounds=bounds)
-        if args.json:
+        if args.json is not None:
             _check_writable(args.json)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     report = run_suite(cfg)
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w") as fh:
             fh.write(report.to_json() + "\n")
     if args.quiet:

@@ -28,13 +28,14 @@ over an int D by one gcd.  Packed values go to and from their balanced
 base-2^K digits (`_pack`, `_unpack`) in one C-level pass: as native signed
 ints at K = 16, 32 and 64, as bytes at every other K.
 
-`to_lie_power_basis` back-substitutes each grading part in one pivot loop
-on the same codecs.  At symbolic q the part is first multiplied by
-P = (q-1)^kmax q^C(kmax,2), which by the `bnan_expand` closed form clears
-every denominator of its coordinates, so each pivot divides exactly; at
-rational q the remainder is scaled up where a pivot does not divide.
-Every term map, on ints or over Q(q), is summed by `coeff.add_terms`, which
-drops a key as soon as its sum is 0.
+`to_lie_power_basis` splits x's terms by grading, with no element per part:
+a one-term part c B^d or c A^-d is its own coordinate, and any other part is
+back-substituted in one pivot loop on the same codecs.  At symbolic q the
+part is first multiplied by P = (q-1)^kmax q^C(kmax,2), which by the
+`bnan_expand` closed form clears every denominator of its coordinates, so
+each pivot divides exactly; at rational q the remainder is scaled up where a
+pivot does not divide.  Every term map, on ints or over Q(q), is summed by
+`coeff.add_terms`, which drops a key as soon as its sum is 0.
 """
 
 from __future__ import annotations
@@ -664,24 +665,26 @@ def _rescaling_quotient(a: int, b: int):
     return a * s // b, s
 
 
-def _basis_codec(part: NormalElement):
-    """(rem, vector, quotient, decode) for the back-substitution of one
-    grading part; see ``to_lie_power_basis``.  rem is a fresh term map, as
-    ``_back_substitute`` changes it in place."""
-    q, cp = part.q, _codec(part)
+def _basis_codec(terms, x: NormalElement):
+    """(rem, vector, quotient, decode) to back-substitute the part terms of x
+    (see ``to_lie_power_basis``); rem, solved in place, is terms or its ints."""
+    q, cs = x.q, terms.values()
     table = lambda k: _codec(comm_power(k, q))
-    if cp and q.is_symbolic:
-        kmax = max(min(key) for key in part.terms)
-        K = _width(2**kmax * cp[0] * (1 + sum(table(k)[1] for k in range(kmax + 1))))
+    if q.is_symbolic and all(c.den.coeffs == (1,) for c in cs):
+        kmax = max(min(key) for key in terms)
+        l1 = sum(sum(map(abs, c.num.coeffs)) for c in cs)
+        K = _width(2**kmax * l1 * (1 + sum(table(k)[1] for k in range(kmax + 1))))
         p = _pack(_q_q1_poly(1, binom2(kmax), kmax).coeffs, K)
-        rem = {key: v * p for key, v in _packed_terms(part, K).items()}
+        rem = {key: _pack(c.num.coeffs, K) * p for key, c in terms.items()}
         decode = lambda sol, s: _decode(sol, K, (binom2(kmax), kmax))
         return rem, lambda k: _packed_terms(comm_power(k, q), K), _exact_quotient, decode
-    if cp:
-        decode = lambda sol, s: _decode({k: c * table(k)[0] for k, c in sol.items()}, None, cp[0] * s)
+    cx = not q.is_symbolic and _codec(x)
+    if cx:
+        decode = lambda sol, s: _decode({k: c * table(k)[0] for k, c in sol.items()}, None, cx[0] * s)
         vector = lambda k: _packed_terms(comm_power(k, q), table(k)[0])
-        return dict(_packed_terms(part, cp[0])), vector, _rescaling_quotient, decode
-    return dict(part.terms), lambda k: comm_power(k, q).terms, _field_quotient, lambda sol, s: sol
+        packed = _packed_terms(x, cx[0])
+        return {key: packed[key] for key in terms}, vector, _rescaling_quotient, decode
+    return terms, lambda k: comm_power(k, q).terms, _field_quotient, lambda sol, s: sol
 
 
 def _back_substitute(rem, d: int, vector, quotient):
@@ -716,14 +719,15 @@ def _back_substitute(rem, d: int, vector, quotient):
 def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
     """Exact coordinates in the [A,B]-power basis, by back-substitution.
 
-    Works per grading component d.  The (d, k) vector's term of highest
-    A-degree is (q-1)^k q^C(k,2) B^k A^k shifted by d, invertible whenever q
-    is not 0 or 1, so the coordinates come out k = kmax down to 0, kmax the
-    part's largest min(m, n).  One pivot loop (``_back_substitute``) runs on
-    the codec the part fits, reading each [A,B]^k packed by
-    ``_packed_terms`` at the same width, and each coordinate is decoded once:
+    Works per grading component d, on x's terms split by key.  A part c B^d
+    or c A^-d (one key, min(m, n) = 0) is c times the (d, 0) vector.  In any
+    other the (d, k) vector's term of highest A-degree, (q-1)^k q^C(k,2) B^k
+    A^k shifted by d, is invertible for q not 0 or 1, so the coordinates come
+    out k = kmax down to 0 (kmax the part's largest min(m, n)).  One pivot
+    loop (``_back_substitute``) runs on the codec the part fits, reading each
+    [A,B]^k packed at the same width, and each coordinate is decoded once:
 
-    - symbolic q, coefficients in Z[q]: the part times P = (q-1)^kmax
+    - symbolic q, a part over Z[q]: the part times P = (q-1)^kmax
       q^C(kmax,2), packed at q = 2^K.  By the ``bnan_expand`` closed form,
       B^n A^n with n <= kmax has coordinates q^-C(n,2) (q-1)^-n times Z[q],
       so every coordinate C of P x is in Z[q] with |C|_1 <= 2^kmax |x|_1,
@@ -732,24 +736,27 @@ def to_lie_power_basis(x: NormalElement) -> LiePowerCoords:
       times their vectors, so K is ``_width`` of 2^kmax |x|_1 (1 + the sum
       over k <= kmax of the largest l1 norm in [A,B]^k).  A coordinate is
       C/P.
-    - rational q, constant coefficients: the part's integers over its lcm
-      denominator D, and each [A,B]^k over the lcm of its own.  When a
-      leading coefficient does not divide its pivot entry, the remainder
-      and the coordinates so far are scaled up until it does, and D with
-      them.
+    - rational q, all of x's coefficients constant: the part's integers in
+      x's own packs over their lcm denominator D (read once for all parts),
+      and each [A,B]^k over the lcm of its own.  When a leading coefficient
+      does not divide its pivot entry, the remainder and the coordinates so
+      far are scaled up until it does, and D with them.
     - anything else, polynomial coefficients at rational q included: Q(q).
 
-    The remainder is a copy, so the packs kept with x, or with a cached
-    element such as ``comm_power(k, q)``, are never changed.
+    The remainder is a fresh term map from the split, so the packs kept with
+    x, or with a cached element such as ``comm_power(k, q)``, never change.
     """
-    q = x.q
-    _require_not_01(q, "to_lie_power_basis")
-    coords: Dict[Tuple[int, int], RationalFunction] = {}
-    parts = grade(x)  # popped: each part and its packs go before its solve
-    for d in list(parts):
-        rem, vector, quotient, decode = _basis_codec(parts.pop(d))
+    _require_not_01(x.q, "to_lie_power_basis")
+    coords, parts = {}, {}
+    for key, c in x.terms.items():
+        parts.setdefault(key[0] - key[1], {})[key] = c
+    for d, terms in sorted(parts.items()):
+        if len(terms) == 1 and not min(next(iter(terms))):  # c B^d or c A^-d: c times the (d, 0) vector
+            (coords[d, 0],) = terms.values()
+            continue
+        rem, vector, quotient, decode = _basis_codec(terms, x)
         coords.update(((d, k), c) for k, c in decode(*_back_substitute(rem, d, vector, quotient)).items())
-    return LiePowerCoords(q, coords)
+    return LiePowerCoords(x.q, coords)
 
 
 def from_lie_power_basis(c: LiePowerCoords) -> NormalElement:

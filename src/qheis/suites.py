@@ -133,6 +133,7 @@ def _factorial_recurrence(key: Tuple, n: int, z: RationalFunction) -> Entry:
 
 
 def _binomial_pascal(key: Tuple, n: int, i: int, z: RationalFunction) -> Entry:
+    """Pascal's rule, the very recurrence the ``_gauss_binomial_poly`` table is built by."""
     lhs = q_binomial(n, i, z)
     return _compare(key, lhs, q_binomial(n - 1, i - 1, z) + z**i * q_binomial(n - 1, i, z))
 

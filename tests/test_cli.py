@@ -354,6 +354,25 @@ def test_cli_verify_rejects_unwritable_json_path_before_running(tmp_path, capsys
     assert not (tmp_path / "missing").exists()
 
 
+def test_cli_verify_refuses_an_empty_json_path(tmp_path, capsys, monkeypatch):
+    # "" once read as no --json at all: the run exited 0 and wrote nothing
+    ran = []
+    monkeypatch.setattr("qheis.cli.run_suite", lambda cfg: ran.append(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "reorder", "--bound", "n=2", "--json", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the JSON report")
+    assert ran == [] and not list(tmp_path.iterdir())
+
+
+def test_cli_verify_refuses_a_bound_given_twice(capsys, monkeypatch):
+    # the last value once won silently: --bound n=2 --bound n=3 ran n=3
+    ran = []
+    monkeypatch.setattr("qheis.cli.run_suite", lambda cfg: ran.append(cfg))
+    assert main(["verify", "--suite", "reorder", "--bound", "n=2", "--bound", "n=3"]) == 2
+    assert capsys.readouterr().err == "error: bound n given twice\n"
+    assert ran == []
+
+
 def test_cli_verify_refuses_an_option_as_the_value_of_json(tmp_path, capsys, monkeypatch):
     # --json once took --quiet as its path: the run exited 0 and wrote the
     # report to a file named --quiet

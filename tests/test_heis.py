@@ -980,7 +980,9 @@ NON_Z_Q = [RationalFunction(IntPoly([1]), IntPoly([0, 1])), RationalFunction(Int
 @st.composite
 def basis_inputs(draw, q):
     """An element at q: Z[q] coefficients (up to the EDGES), constants, or
-    [A,B]^k B^d times one; with one coefficient a q^-1 or a 1/(q+1) or not."""
+    [A,B]^k B^d times one; plus one-term parts c B^d and c A^d at several d
+    (parts of their own unless a grading is shared); with one coefficient a
+    q^-1 or a 1/(q+1) or not."""
     coeff = draw(st.sampled_from([z_poly, constants]))
     if draw(st.booleans()):
         k, d = draw(st.integers(0, 6)), draw(st.integers(0, 4))
@@ -989,9 +991,22 @@ def basis_inputs(draw, q):
         x = NormalElement(q, {})
     keys = st.tuples(st.integers(0, 10), st.integers(0, 10))
     x = x + NormalElement(q, draw(st.dictionaries(keys, coeff, max_size=5)))
+    # B^d at d > 0, A^-d at d < 0, and the identity at d = 0
+    for d, c in draw(st.dictionaries(st.integers(-14, 14), coeff, max_size=4)).items():
+        x = x + mono(max(d, 0), max(-d, 0), q, c)
     if x.terms and draw(st.booleans()):
         x.terms[draw(st.sampled_from(sorted(x.terms)))] = draw(st.sampled_from(NON_Z_Q))
     return x
+
+
+def codec_quotient(terms, x):
+    """The quotient ``_basis_codec`` must choose for the part terms of x: at
+    symbolic q the part's own Z[q] check decides, at rational q every part
+    reads x's packs, so all of x must be constants."""
+    if x.q.is_symbolic:
+        return _exact_quotient if all(c.den.coeffs == (1,) for c in terms.values()) else _field_quotient
+    fits = all(len(c.num.coeffs) < 2 and len(c.den.coeffs) == 1 for c in x.terms.values())
+    return _rescaling_quotient if fits else _field_quotient
 
 
 @settings(max_examples=300, deadline=None)
@@ -1002,13 +1017,7 @@ def test_to_lie_power_basis_matches_the_field_loop(data):
     # the same coordinates in the same order
     assert list(to_lie_power_basis(x).coords.items()) == list(reference_to_lie_power_basis(x).coords.items()), x
     for part in grade(x).values():
-        if q.is_symbolic:
-            fits = all(c.den.coeffs == (1,) for c in part.terms.values())
-            want = _exact_quotient if fits else _field_quotient
-        else:
-            fits = all(len(c.num.coeffs) < 2 and len(c.den.coeffs) == 1 for c in part.terms.values())
-            want = _rescaling_quotient if fits else _field_quotient
-        assert _basis_codec(part)[2] is want
+        assert _basis_codec(dict(part.terms), x)[2] is codec_quotient(part.terms, x)
 
 
 def test_to_lie_power_basis_named_cases():
@@ -1040,6 +1049,40 @@ def test_to_lie_power_basis_named_cases():
     assert _exact_quotient(-8, 4) == (-2, 1)
     with pytest.raises(AssertionError, match="remainder"):
         _exact_quotient(6, 4)
+
+
+def test_one_term_parts_are_their_own_coordinate():
+    # c B^d, c A^-d and c I are c times the (d, 0) vector: c itself is the
+    # coordinate, with no codec and no solve.  Every other part is solved on
+    # the codec that its own coefficients fit at symbolic q (grading 1 holds
+    # a q^-1, grading 0 is in Z[q]), or that all of x fits at rational q;
+    # a one-term part B^3 A needs a solve like any other
+    for q in BASIS_QS:
+        # Z[q] at symbolic q, constants at rational q
+        z = (lambda *cs: RationalFunction(IntPoly(list(cs)))) if q.is_symbolic else (lambda *cs: rf_int(sum(cs)))
+        for bad in (NON_Z_Q[0], rf_int(5)):
+            x = NormalElement(q, {
+                (0, 3): RF_ONE, (5, 0): rf_int(2), (0, 0): rf_int(-7), (2, 2): z(1, 3), (1, 1): rf_int(3),
+                (2, 1): bad, (1, 0): RF_ONE, (3, 1): z(1, 1),
+            })
+            calls = []
+
+            def spy(terms, y):
+                calls.append(({m - n for m, n in terms}, _basis_codec(terms, y)))
+                return calls[-1][1]
+
+            with mock.patch.object(heis, "_basis_codec", spy):
+                coords = to_lie_power_basis(x)
+            assert list(coords.coords.items()) == list(reference_to_lie_power_basis(x).coords.items())
+            assert coords.coords[-3, 0] is x.terms[0, 3] and coords.coords[5, 0] is x.terms[5, 0]
+            assert [d for d, _ in calls] == [{0}, {1}, {2}]
+            fits = bad is not NON_Z_Q[0]
+            if q.is_symbolic:
+                want = [_exact_quotient, _exact_quotient if fits else _field_quotient, _exact_quotient]
+            else:
+                want = [_rescaling_quotient if fits else _field_quotient] * 3
+            assert [codec[2] for _, codec in calls] == want
+            assert from_lie_power_basis(coords) == x
 
 
 # coefficients (sum n_e q^e)/d of degree <= 3, with gaps in the powers, small
@@ -1195,9 +1238,10 @@ def test_basis_changes_leave_the_packs_of_cached_inputs_intact(q):
                 continue
             assert to_lie_power_basis(x) == to_lie_power_basis(fx)
             if x.terms:
-                # one grading part: the basis codec reads x's own packs
+                # one grading part: at rational q the basis codec reads x's
+                # own packs, and its remainder must be a copy of them
                 (d,) = grade(x)
-                rem, vector, quotient, decode = _basis_codec(x)
+                rem, vector, quotient, decode = _basis_codec(dict(x.terms), x)
                 want = {k: c for (_, k), c in to_lie_power_basis(fx).coords.items()}
                 assert decode(*_back_substitute(rem, d, vector, quotient)) == want
         for y in [x] + [comm_power(k, q) for k in range(7)]:
