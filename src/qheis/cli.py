@@ -149,7 +149,7 @@ def _cmd_eval(args) -> int:
         return 2
     print("expression:   %s" % pretty(ast))
     print("q:            %s" % q.render())
-    parts = {d: part.render() for d, part in result.graded.items()}
+    parts = result.normal.render_parts()
     print("normal form:  %s" % (" + ".join(parts.values()) or "0"))
     for d, text in parts.items():
         print("  degree %+d:  %s" % (d, text))

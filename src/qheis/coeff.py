@@ -25,6 +25,7 @@ scalars of the closed forms, sums of c q^e over (q - 1)^b, skip even that:
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -588,9 +589,14 @@ class QValue(Value):
         text = text.strip()
         if text == "symbolic":
             return SYMBOLIC_Q
+        # Fraction would build 10^exponent ("e" first: p/r skips the regex compile)
+        if "e" in text.lower() and re.search(r"[\d.][eE][-+]?\d", text):
+            raise ValueError("q must be written without an exponent, got %r" % text)
         try:
             value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ValueError("q must be a rational p/r with r != 0, got %r" % text) from None
+        except ValueError as exc:
             raise ValueError("q must be 'symbolic' or a rational p/r: %r" % text) from exc
         q = _PARSED.get(value)
         if q is None:

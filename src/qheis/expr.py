@@ -20,7 +20,7 @@ evaluates to its canonical bracketing in H(q).  AST nodes are ``Value``s.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from .coeff import QValue, RationalFunction, Record, Value
 from .heis import (
@@ -28,7 +28,6 @@ from .heis import (
     NormalElement,
     bracketed_word,
     commutator,
-    grade,
     to_lie_power_basis,
 )
 from .lie import in_lie_span, membership_zero
@@ -383,20 +382,17 @@ def _eval(e: Expression, q: QValue) -> NormalElement:
 
 
 class EvalResult(Record):
-    __slots__ = ("expression", "q", "normal", "graded", "lie_coords", "membership", "membership_mode")
+    __slots__ = ("expression", "q", "normal", "lie_coords", "membership", "membership_mode")
 
     def __init__(self, expression: Expression, q: QValue, normal: NormalElement,
-                 graded: Dict[int, NormalElement], lie_coords: Optional[LiePowerCoords],
-                 membership: Optional[bool], membership_mode: str):
-        self.expression, self.q, self.normal = expression, q, normal
-        self.graded, self.lie_coords = graded, lie_coords
+                 lie_coords: Optional[LiePowerCoords], membership: Optional[bool], membership_mode: str):
+        self.expression, self.q, self.normal, self.lie_coords = expression, q, normal, lie_coords
         self.membership, self.membership_mode = membership, membership_mode
 
 
 def eval_expr(e: Expression, q: QValue) -> EvalResult:
     """Normal form plus the derived views the CLI prints."""
     nf = _eval(e, q)
-    graded = grade(nf)
     lie_coords = None
     if not (q.is_zero or q.is_one):
         lie_coords = to_lie_power_basis(nf)
@@ -409,4 +405,4 @@ def eval_expr(e: Expression, q: QValue) -> EvalResult:
     else:
         mode = "generic"
         membership = in_lie_span(lie_coords)
-    return EvalResult(e, q, nf, graded, lie_coords, membership, mode)
+    return EvalResult(e, q, nf, lie_coords, membership, mode)

@@ -10,23 +10,26 @@ product of its B^m A^n runs.  All coefficients are exact elements of Q(q).
 One kernel, `_product`, makes the PBW product and the commutator xy - yx,
 which it sums as one term map before it decodes a key.  From four term pairs
 up it runs on ints when every coefficient fits the codec of q, as `lincomb`
-(a sum of c_i x_i) does; anything else is summed over Q(q).  One memo turns
-coefficients into ints, for elements and for the A^n B^k and [A,B]^k tables
-alike: an element keeps its sizes and its packs (`_codec`), one term map per
-width W (`_packed_terms`), so a cached element is packed once per width for
-the whole process.  At symbolic q each coefficient must be in Z[q] and is
-packed into its value at q = 2^W (Kronecker substitution, W = K from a
-proven l1-norm bound).  At rational q each must be a constant n/d and
-becomes n W/d, W a multiple of the lcm denominator D, and `lincomb` also
-needs two pairs or more.  A polynomial coefficient at rational q takes the
-loop over Q(q); the one suite that draws them, grad-basis-roundtrip, splits
-them into constants itself.  One encoder, `_scalars`, brings the scalars c
-of `lincomb` over one denominator, and one decoder, `_decode`, turns every
-kernel's ints back into coefficients, `lie.zero_basis_coords` included:
-over q^a (q-1)^b by `coeff._over_q_q1` (not the generic `_normalize`), or
-over an int D by one gcd.  Packed values go to and from their balanced
-base-2^K digits (`_pack`, `_unpack`) in one C-level pass: as native signed
-ints at K = 16, 32 and 64, as bytes at every other K.
+(a sum of c_i x_i) does; anything else is summed over Q(q).  A power x^n
+(`NormalElement.__pow__`) is one chain r <- r x on ints from the first
+product to the last, its width at symbolic q re-measured from r's digits
+when a step outgrows it.  One memo turns coefficients into ints, for
+elements and for the A^n B^k and [A,B]^k tables alike: an element keeps its
+sizes and its packs (`_codec`), one term map per width W (`_packed_terms`),
+so a cached element is packed once per width for the whole process.  At
+symbolic q each coefficient must be in Z[q] and is packed into its value at
+q = 2^W (Kronecker substitution, W = K from a proven l1-norm bound).  At
+rational q each must be a constant n/d and becomes n W/d, W a multiple of
+the lcm denominator D, and `lincomb` also needs two pairs or more.  A
+polynomial coefficient at rational q takes the loop over Q(q); the one suite
+that draws them, grad-basis-roundtrip, splits them into constants itself.
+One encoder, `_scalars`, brings the scalars c of `lincomb` over one
+denominator, and one decoder, `_decode`, turns every kernel's ints back into
+coefficients, `lie.zero_basis_coords` included: over q^a (q-1)^b by
+`coeff._over_q_q1` (not the generic `_normalize`), or over an int D by one
+gcd.  Packed values go to and from their balanced base-2^K digits (`_pack`,
+`_unpack`) in one C-level pass: as native signed ints at K = 16, 32 and 64,
+as bytes at every other K.
 
 `to_lie_power_basis` splits x's terms by grading, with no element per part:
 a one-term part c B^d or c A^-d is its own coordinate, and any other part is
@@ -46,8 +49,8 @@ import struct
 import sys
 
 from array import array
-from functools import lru_cache
-from itertools import accumulate, repeat
+from functools import lru_cache, reduce
+from itertools import accumulate, groupby, repeat
 from operator import mul
 from typing import Dict, Tuple
 
@@ -156,12 +159,39 @@ class NormalElement:
         return _product(self, other)
 
     def __pow__(self, n: int) -> "NormalElement":
+        """x^n by the chain r <- r x; if x fits ``_codec``, on ints from the
+        first product to the last, decoded once.  At symbolic q r is packed at
+        width K, and S bounds the sum of its coefficients' l1 norms.  A step's
+        coefficients are at most M S Sx, M the largest coefficient l1 norm in
+        its A^n B^m tables; when ``_width`` of that exceeds K, r is unpacked
+        (exact: the last step was sized for it), S becomes the measured sum
+        and r is repacked if K changes.  Then S <- S Sx F, F the largest l1
+        sum of one table.  At rational q each step multiplies r's denominator
+        by Dx W, the lcm denominators of x and of the step's tables."""
         if n < 0:
             raise ValueError("no negative powers in H(q)")
-        result = self if n else NormalElement.one(self.q)
+        q, xt, cx = self.q, self.terms, _codec(self)
+        if n < 2 or not cx:
+            return reduce(mul, repeat(self, n - 1), self) if n else NormalElement.one(q)
+        Sx = S = den = cx[0]
+        r, K = (xt if q.is_symbolic else _packed_terms(self, Sx)), 0
         for _ in range(n - 1):
-            result = result * self
-        return result
+            tables = {nm: _an_bk_expansion(*nm, q) for nm in _reorderings(r, xt)}
+            sizes = [_codec(f) for f in tables.values()]
+            if q.is_symbolic:
+                M = max((c[1] for c in sizes), default=1)
+                if _width(M * S * Sx) > K:
+                    polys = {key: _unpack(v, K) if K else v.num for key, v in r.items()}
+                    S, K0 = sum(sum(map(abs, c.coeffs)) for c in polys.values()), K
+                    K = _width(M * S * Sx)
+                    r = r if K == K0 else {key: _pack(c.coeffs, K) for key, c in polys.items()}
+                W, one, S = K, None, S * Sx * max((c[0] for c in sizes), default=1)
+            else:
+                W = one = math.lcm(*(c[0] for c in sizes))
+                den *= Sx * W
+            fp = {nm: _packed_terms(f, W) for nm, f in tables.items()}
+            r = add_terms({}, _product_terms(r, _packed_terms(self, K or Sx), fp, one))
+        return NormalElement(q, _decode(r, K, (0, 0)) if K else _decode(r, None, den), _raw=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -184,6 +214,12 @@ class NormalElement:
     def render(self) -> str:
         keys = sorted(self.terms, key=lambda k: (k[0] - k[1], k[0]))
         return _render_terms((self.terms[m, n], _power("B", m) + _power("A", n)) for m, n in keys)
+
+    def render_parts(self) -> Dict[int, str]:
+        """{d: the text of the grading-d part}, d ascending: ``render`` split
+        by grading, from one sort of the keys."""
+        keys = groupby(sorted(self.terms, key=lambda k: (k[0] - k[1], k[0])), lambda k: k[0] - k[1])
+        return {d: _render_terms((self.terms[k], _power("B", k[0]) + _power("A", k[1])) for k in ks) for d, ks in keys}
 
     def __repr__(self):
         return "NormalElement(q=%s, %s)" % (self.q, self.render())
@@ -486,19 +522,6 @@ def bracketed_word(w: str, q: QValue) -> NormalElement:
     except ValueError:
         raise ValueError("bracketing needs a regular word, got %r" % w) from None
     return commutator(bracketed_word(g, q), bracketed_word(h, q))
-
-
-# ---------------------------------------------------------------------------
-# grading
-# ---------------------------------------------------------------------------
-
-
-def grade(x: NormalElement) -> Dict[int, NormalElement]:
-    """Decomposition by the Z-grading d = m - n: {d: part}, d ascending."""
-    buckets: Dict[int, Dict[MonoKey, RationalFunction]] = {}
-    for (m, n), c in x.terms.items():
-        buckets.setdefault(m - n, {})[(m, n)] = c
-    return {d: NormalElement(x.q, t, _raw=True) for d, t in sorted(buckets.items())}
 
 
 # ---------------------------------------------------------------------------

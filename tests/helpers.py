@@ -4,8 +4,10 @@ a free-algebra element built from (word, coefficient) pairs, and, kept as
 references, the chains of Q(q) operations that built the closed-form scalars
 before ``coeff.q_laurent``, the Gauss polynomial route to A^n B^n that
 summed its powers of q[A,B] by hand before ``heis.anbn_via_gauss`` became
-one ``lincomb``, and the term-by-term coefficient text that
-``IntPoly.render`` wrote before its memo of term strings."""
+one ``lincomb``, the term-by-term coefficient text that ``IntPoly.render``
+wrote before its memo of term strings, and the split of an element into
+one element per grading part that ``qheis eval`` printed before
+``NormalElement.render_parts``."""
 
 import json
 from fractions import Fraction
@@ -21,7 +23,7 @@ from qheis.coeff import (
     binom2,
     q_binomial,
 )
-from qheis.heis import comm_power
+from qheis.heis import NormalElement, comm_power
 from qheis.reports import Entry, Report
 from qheis.words import check_word
 from free_algebra import FreeElement
@@ -152,3 +154,11 @@ def render_rational(f: RationalFunction) -> str:
     if len(f.den.coeffs) - f.den.coeffs.count(0) > 1:
         den = "(%s)" % den
     return "%s/%s" % (num, den)
+
+
+def grade(x: NormalElement) -> dict:
+    """Decomposition by the Z-grading d = m - n: {d: part}, d ascending."""
+    buckets = {}
+    for (m, n), c in x.terms.items():
+        buckets.setdefault(m - n, {})[(m, n)] = c
+    return {d: NormalElement(x.q, t, _raw=True) for d, t in sorted(buckets.items())}

@@ -281,6 +281,23 @@ def test_cli_accepts_negative_q_as_separate_token(capsys):
     assert "q must be" in capsys.readouterr().err
 
 
+def test_cli_q_names_a_zero_denominator_and_refuses_exponents(capsys):
+    # Fraction would read 1e1000000 as 10^1000000 and run without bound;
+    # a zero denominator is named as the cause
+    for q in ("1/0", "-1/0", "0/0", "3/00"):
+        assert main(["eval", "--q=" + q, "A*B"]) == 2
+        assert capsys.readouterr().err == "error: q must be a rational p/r with r != 0, got %r\n" % q
+    for q in ("1e1000000", "1E5", "2.5e-3", "-.5e+2", "1e1_000"):
+        assert main(["eval", "--q=" + q, "A*B"]) == 2
+        assert capsys.readouterr().err == "error: q must be written without an exponent, got %r\n" % q
+    assert main(["verify", "--suite", "reorder", "--q=1e9", "--quiet"]) == 2
+    assert "without an exponent" in capsys.readouterr().err
+    # p/r and plain decimals read as before
+    for q, shown in (("3/6", "1/2"), ("-0.25", "-1/4"), (" 2 ", "2"), (".5", "1/2"), ("symbolic", "symbolic")):
+        assert main(["eval", "--q=" + q, "A"]) == 0
+        assert "q:            %s\n" % shown in capsys.readouterr().out
+
+
 def test_cli_eval_accepts_expression_that_starts_with_minus(capsys):
     assert main(["eval", "--", "-B"]) == 0
     separated = capsys.readouterr().out

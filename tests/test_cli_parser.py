@@ -183,6 +183,7 @@ def cli_test_argv():
         ["verify", "--suite", "reorder", "--json", "missing/x.json"], reorder + ["--q=-1/3"], reorder + ["--q", "-1/3"],
         ["eval", "--q", "symbolic", "A*B"], ["eval", "--q", "0", "B*A - I"], ["eval", "--q", "symbolic", "<AB>"],
         ["eval", "--q=-1/3", "A*B"], ["eval", "--q", "-1/3", "A*B"], ["eval", "--q", "-1/0", "A"],
+        ["eval", "--q=1/0", "A*B"], ["eval", "--q=1e1000000", "A*B"],
         ["eval", "--", "-B"], ["eval", "-B"], ["eval", "--q=2", "--", "-2*A*B"], ["eval", "--q=2", "-2*A*B"],
         ["eval", "-2*A*B", "--q=2"], ["eval", "--q", "2", "-2*A*B"], ["eval", "--q", "-1/3", "-B"],
         ["eval", "-h"], ["eval", "--help"], ["eval", "-B", "--q"], ["eval", "--q"], ["eval", "--q=0", "q^-1"],

@@ -47,7 +47,6 @@ from qheis.heis import (
     commutator,
     fban_sides,
     from_lie_power_basis,
-    grade,
     lie_power_vector,
     lincomb,
     nf_word,
@@ -58,7 +57,7 @@ from qheis.heis import (
 from qheis.reports import FAIL, PASS
 from qheis.words import enumerate_regular
 from free_algebra import FreeElement, bracketing, eval_monomial
-from helpers import free_from_terms, gauss_route_anbn, specialize
+from helpers import free_from_terms, gauss_route_anbn, grade, specialize
 from rewriting import LEFTMOST, RIGHTMOST, _word_normal_form, normal_form
 
 SYM = QValue()
@@ -475,6 +474,105 @@ def test_constant_q_product_named_cases():
         assert list(got.terms.items()) == list(schoolbook_product(y, b1).terms.items())
 
 
+# -- powers ----------------------------------------------------------------------
+
+
+POWER_QS = [SYM] + [QValue.parse(v) for v in ("2", "-1/3", "0", "1", "-1", "5/7")]
+# a coefficient that fits no codec: not in Z[q] at symbolic q, not a constant
+# at rational q
+OFF_CODEC = RationalFunction(IntPoly([1]), IntPoly([-1, 1]))
+
+
+def step_power(x, n):
+    """x^n as the chain of ``_product`` steps, each decoded on its own."""
+    r = NormalElement.one(x.q)
+    for _ in range(n):
+        r = heis._product(r, x)
+    return r
+
+
+@st.composite
+def power_bases(draw, q):
+    """0, one key or up to three keys at q, coefficients next to powers of
+    two (over small denominators at rational q), and sometimes one that
+    sends x off the codec."""
+    if q.is_symbolic:
+        coeff = st.lists(int_coeffs, min_size=1, max_size=3).map(lambda cs: RationalFunction(IntPoly(cs)))
+    else:
+        coeff = st.builds(lambda a, d: RationalFunction.from_fraction(Fraction(a, d)), int_coeffs, st.integers(1, 6))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, max_size=3))
+    if terms and draw(st.integers(0, 4)) == 0:
+        terms[draw(st.sampled_from(sorted(terms)))] = OFF_CODEC
+    return NormalElement(q, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_power_chain_matches_the_product_steps(data):
+    q = data.draw(st.sampled_from(POWER_QS))
+    x, n = data.draw(power_bases(q)), data.draw(st.integers(0, 12))
+    with mock.patch.object(heis, "_decode", wraps=heis._decode) as decode:
+        got = x**n
+    # same terms in the same order; a chain on ints decodes once
+    assert list(got.terms.items()) == list(step_power(x, n).terms.items()), (x, n)
+    assert decode.call_count == (n > 1 and bool(heis._codec(x))), (x, n)
+
+
+def test_power_chain_named_cases():
+    for q in POWER_QS:
+        zero, a = NormalElement.zero(q), mono(0, 1, q, rf_int(-(2**63)))
+        assert zero**0 == NormalElement.one(q) and (zero**5).is_zero()
+        assert a**7 == mono(0, 7, q, rf_int(-(2**441)))
+        assert (a + mono(1, 0, q)) ** 9 == step_power(a + mono(1, 0, q), 9)
+    # one key B^m A^n with coefficient 1: Sx = 1, so all of the growth of
+    # r's l1 sum comes from the tables' sums F
+    for m, n, e in ((1, 1, 12), (2, 2, 6), (1, 2, 10)):
+        assert mono(m, n) ** e == step_power(mono(m, n), e), (m, n, e)
+    # off the codec each step is one product
+    x = mono(1, 1, c=OFF_CODEC) + mono(0, 1)
+    with mock.patch.object(heis, "_product", wraps=heis._product) as product:
+        assert x**4 == step_power(x, 4)
+    assert product.call_count == 3 + 4
+
+
+@pytest.mark.parametrize("q", [SYM, QValue.parse("-1/3")], ids=str)
+def test_commutator_powers_match_comm_power(q):
+    x = commutator(mono(0, 1, q), mono(1, 0, q))
+    for n in range(41):
+        assert x**n == comm_power(n, q), n
+
+
+def chain_widths(x, n):
+    """x^n, and the widths the chain unpacked at: each re-measure of r at
+    its old width, then the decode at the last."""
+    with mock.patch.object(heis, "_unpack", wraps=heis._unpack) as unpack:
+        got = x**n
+    return got, [c.args[1] for c in unpack.call_args_list]
+
+
+def test_power_chain_widens_mid_chain():
+    # (A + B)^n: the tables A^k B^j grow with the chain, so r outgrows the
+    # first width after a few steps; r is unpacked at the old width (exact
+    # by the bound) and the later steps run wider
+    x = mono(0, 1) + mono(1, 0)
+    got, widths = chain_widths(x, 24)
+    assert got == step_power(x, 24)
+    remeasured, decoded = widths[: -len(got.terms)], widths[-len(got.terms) :]
+    assert len(set(remeasured)) > 2 and len(set(decoded)) == 1
+    assert widths == sorted(widths) and remeasured[-1] < decoded[0]
+
+
+def test_power_chain_width_follows_the_measured_l1_sum():
+    # re-measuring keeps the width near the l1 sum of the result: widened by
+    # the bound compounded over the steps (S <- S Sx F from the start), the
+    # chain of [A,B]^40 would end at K = 224 instead of 64
+    x = commutator(mono(0, 1), mono(1, 0))
+    got, widths = chain_widths(x, 40)
+    l1 = sum(sum(map(abs, c.num.coeffs)) for c in got.terms.values())
+    M = max(heis._codec(_an_bk_expansion(n, 1, SYM))[1] for n in range(40))
+    assert widths[-1] <= heis._width(M * l1 * heis._codec(x)[0]) + 16
+
+
 def test_scale_by_a_negative_power_of_q_cancels_only_q():
     # Z[q] coefficients by q^-e take _over_q_q1; each result must be the
     # canonical product over Q(q), at every e, with and without factors q to
@@ -770,6 +868,18 @@ def test_grade_sums_back():
     for _ in range(30):
         x = rand_normal(rng)
         assert lincomb(((RF_ONE, p) for p in grade(x).values()), SYM) == x
+
+
+def test_render_parts_are_the_rendered_grading_parts():
+    # the degree lines of qheis eval: one text per grading part, which
+    # joined by " + " are the whole element's text
+    rng = random.Random(15)
+    for q in (SYM, QValue.parse("-1/3")):
+        for x in [NormalElement.zero(q)] + [rand_normal(rng, q) for _ in range(30)]:
+            parts = x.render_parts()
+            assert parts == {d: p.render() for d, p in grade(x).items()}
+            assert list(parts) == sorted(parts)
+            assert (" + ".join(parts.values()) or "0") == x.render()
 
 
 def test_product_adds_degrees():
